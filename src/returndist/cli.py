@@ -100,13 +100,23 @@ def build_parser() -> _Parser:
 
 def _load_returns(args: argparse.Namespace) -> tuple[str, list[float], list[str]]:
     path = Path(args.input)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     symbol = path.stem
     if args.returns_only:
         return symbol, parse_return_lines(text), []
     series, warnings = parse_ohlcv_csv(text, symbol)
     returns = simple_returns(series, args.price_column)
     return symbol, list(returns.values), warnings
+
+
+def _load_and_warn(args: argparse.Namespace) -> tuple[str, list[float]]:
+    # analyze carries its warnings in the report; the other readers print them
+    symbol, values, warnings = _load_returns(args)
+    sys.stderr.writelines(f"returndist: warning: {w}\n" for w in warnings)
+    return symbol, values
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
@@ -143,8 +153,8 @@ def _run_sample(args: argparse.Namespace) -> int:
 
 
 def _run_ecdf(args: argparse.Namespace) -> int:
-    symbol, values, _ = _load_returns(args)
-    rows, _, _ = ecdf_overlay(values)
+    symbol, values = _load_and_warn(args)
+    rows = ecdf_overlay(values)
     if args.format == "csv":
         rendered = render_ecdf_csv(rows)
     else:
@@ -156,7 +166,7 @@ def _run_ecdf(args: argparse.Namespace) -> int:
 def _run_hist(args: argparse.Namespace) -> int:
     if args.bins < 1:
         raise UsageError(f"--bins must be >= 1, got {args.bins}")
-    symbol, values, _ = _load_returns(args)
+    symbol, values = _load_and_warn(args)
     hist = histogram(values, args.bins)
     Path(args.output).write_text(render_histogram_json(symbol, hist) + "\n", encoding="utf-8")
     return EXIT_OK

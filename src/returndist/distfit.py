@@ -11,7 +11,6 @@ sharpened by one Halley step against the erfc-based CDF.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,9 +50,12 @@ class NormalParams:
 
 def median(sample: Sequence[float]) -> float:
     """Middle order statistic; mean of the two middle ones for even n."""
-    if len(sample) == 0:
+    n = len(sample)
+    if n == 0:
         raise InsufficientDataError("median needs a non-empty sample")
-    return float(statistics.median(sample))
+    ordered = sorted(sample)
+    mid = n // 2
+    return float(ordered[mid]) if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def fit_laplace(sample: Sequence[float]) -> LaplaceParams:

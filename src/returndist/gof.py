@@ -31,13 +31,9 @@ class EcdfCurve:
     """Right-continuous step function (#points <= x) / n."""
 
     sorted_x: tuple[float, ...]
-    steps: tuple[float, ...]
 
     def evaluate(self, x: float) -> float:
         return bisect.bisect_right(self.sorted_x, x) / len(self.sorted_x)
-
-    def __call__(self, x: float) -> float:
-        return self.evaluate(x)
 
 
 @dataclass(frozen=True)
@@ -57,11 +53,9 @@ class GofReport:
 
 
 def ecdf(sample: Sequence[float]) -> EcdfCurve:
-    n = len(sample)
-    if n == 0:
+    if len(sample) == 0:
         raise InsufficientDataError("ecdf needs a non-empty sample")
-    ordered = tuple(sorted(sample))
-    return EcdfCurve(sorted_x=ordered, steps=tuple((i + 1) / n for i in range(n)))
+    return EcdfCurve(sorted_x=tuple(sorted(sample)))
 
 
 def ks_statistic(sample: Sequence[float], cdf: Callable[[float], float]) -> float:
@@ -102,28 +96,13 @@ def compare_fits(sample: Sequence[float]) -> GofReport:
     """Fit both families and score each with KS distance, LL, and AIC."""
     if len(sample) < 4:
         raise InsufficientDataError(f"fit comparison needs n >= 4, got {len(sample)}")
-    normal_params = fit_normal(sample)
-    laplace_params = fit_laplace(sample)
-
-    ll_normal = log_likelihood(sample, normal_params)
-    ll_laplace = log_likelihood(sample, laplace_params)
-    normal_score = FitScore(
-        family="normal",
-        params=normal_params,
-        ks_distance=ks_statistic(sample, lambda x: normal_cdf(x, normal_params)),
-        log_likelihood=ll_normal,
-        aic=_aic(ll_normal),
-    )
-    laplace_score = FitScore(
-        family="laplace",
-        params=laplace_params,
-        ks_distance=ks_statistic(sample, lambda x: laplace_cdf(x, laplace_params)),
-        log_likelihood=ll_laplace,
-        aic=_aic(ll_laplace),
-    )
-
-    if normal_score.aic != laplace_score.aic:
-        better = min((normal_score, laplace_score), key=lambda s: s.aic)
-    else:
-        better = min((normal_score, laplace_score), key=lambda s: s.ks_distance)
-    return GofReport(normal=normal_score, laplace=laplace_score, better_fit=better.family)
+    scores = []
+    for family, params, cdf in (
+        ("normal", fit_normal(sample), normal_cdf),
+        ("laplace", fit_laplace(sample), laplace_cdf),
+    ):
+        ll = log_likelihood(sample, params)
+        ks = ks_statistic(sample, lambda x: cdf(x, params))
+        scores.append(FitScore(family, params, ks, ll, _aic(ll)))
+    better = min(scores, key=lambda s: (s.aic, s.ks_distance))
+    return GofReport(normal=scores[0], laplace=scores[1], better_fit=better.family)

@@ -38,31 +38,10 @@ def central_moment(sample: Sequence[float], k: int) -> float:
     return math.fsum((x - mean) ** k for x in sample) / n
 
 
-def skewness(sample: Sequence[float]) -> float:
-    """Standardized third central moment, m3 / m2^(3/2)."""
-    if len(sample) < 3:
-        raise InsufficientDataError(f"skewness needs n >= 3, got {len(sample)}")
-    m2 = central_moment(sample, 2)
-    if m2 == 0.0:
-        raise DegenerateSampleError("skewness undefined for a zero-variance sample")
-    return central_moment(sample, 3) / m2**1.5
-
-
-def excess_kurtosis(sample: Sequence[float]) -> float:
-    """Fisher excess kurtosis, m4 / m2^2 - 3."""
-    if len(sample) < 4:
-        raise InsufficientDataError(f"excess kurtosis needs n >= 4, got {len(sample)}")
-    m2 = central_moment(sample, 2)
-    if m2 == 0.0:
-        raise DegenerateSampleError("kurtosis undefined for a zero-variance sample")
-    return central_moment(sample, 4) / (m2 * m2) - 3.0
-
-
-def moment_report(sample: Sequence[float]) -> MomentsReport:
-    """Mean, central moments up to order 4, skew, and excess kurtosis."""
+def _moments(sample: Sequence[float], min_n: int, what: str) -> MomentsReport:
     n = len(sample)
-    if n < 4:
-        raise InsufficientDataError(f"moment report needs n >= 4, got {n}")
+    if n < min_n:
+        raise InsufficientDataError(f"{what} needs n >= {min_n}, got {n}")
     mean = math.fsum(sample) / n
     deviations = [x - mean for x in sample]
     m2 = math.fsum(d * d for d in deviations) / n
@@ -79,3 +58,18 @@ def moment_report(sample: Sequence[float]) -> MomentsReport:
         skew=m3 / m2**1.5,
         excess_kurtosis=m4 / (m2 * m2) - 3.0,
     )
+
+
+def skewness(sample: Sequence[float]) -> float:
+    """Standardized third central moment, m3 / m2^(3/2)."""
+    return _moments(sample, 3, "skewness").skew
+
+
+def excess_kurtosis(sample: Sequence[float]) -> float:
+    """Fisher excess kurtosis, m4 / m2^2 - 3."""
+    return _moments(sample, 4, "excess kurtosis").excess_kurtosis
+
+
+def moment_report(sample: Sequence[float]) -> MomentsReport:
+    """Mean, central moments up to order 4, skew, and excess kurtosis."""
+    return _moments(sample, 4, "moment report")

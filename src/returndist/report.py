@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
-from .distfit import LaplaceParams, NormalParams, laplace_cdf, normal_cdf
+from .distfit import LaplaceParams, NormalParams, fit_laplace, fit_normal, laplace_cdf, normal_cdf
 from .errors import DomainError, InsufficientDataError
 from .gof import compare_fits, ecdf
 from .moments import moment_report
@@ -74,46 +74,19 @@ def analyze_returns(
     )
 
 
+_NESTED = {"normal_fit": NormalParams, "laplace_fit": LaplaceParams}
+
+
 def report_to_dict(report: AnalysisReport) -> dict:
-    return {
-        "symbol": report.symbol,
-        "n": report.n,
-        "skew": report.skew,
-        "excess_kurtosis": report.excess_kurtosis,
-        "shapiro_w": report.shapiro_w,
-        "shapiro_p": report.shapiro_p,
-        "normal_fit": {"mean": report.normal_fit.mean, "sigma": report.normal_fit.sigma},
-        "laplace_fit": {"mu": report.laplace_fit.mu, "scale": report.laplace_fit.scale},
-        "ks_normal": report.ks_normal,
-        "ks_laplace": report.ks_laplace,
-        "log_lik_normal": report.log_lik_normal,
-        "log_lik_laplace": report.log_lik_laplace,
-        "aic_normal": report.aic_normal,
-        "aic_laplace": report.aic_laplace,
-        "better_fit": report.better_fit,
-        "warnings": list(report.warnings),
-    }
+    return {**asdict(report), "warnings": list(report.warnings)}
 
 
 def report_from_dict(payload: dict) -> AnalysisReport:
-    return AnalysisReport(
-        symbol=payload["symbol"],
-        n=payload["n"],
-        skew=payload["skew"],
-        excess_kurtosis=payload["excess_kurtosis"],
-        shapiro_w=payload["shapiro_w"],
-        shapiro_p=payload["shapiro_p"],
-        normal_fit=NormalParams(**payload["normal_fit"]),
-        laplace_fit=LaplaceParams(**payload["laplace_fit"]),
-        ks_normal=payload["ks_normal"],
-        ks_laplace=payload["ks_laplace"],
-        log_lik_normal=payload["log_lik_normal"],
-        log_lik_laplace=payload["log_lik_laplace"],
-        aic_normal=payload["aic_normal"],
-        aic_laplace=payload["aic_laplace"],
-        better_fit=payload["better_fit"],
-        warnings=tuple(payload["warnings"]),
-    )
+    values = {f.name: payload[f.name] for f in fields(AnalysisReport)}
+    for name, params in _NESTED.items():
+        values[name] = params(**values[name])
+    values["warnings"] = tuple(values["warnings"])
+    return AnalysisReport(**values)
 
 
 def render_report_json(report: AnalysisReport) -> str:
@@ -125,25 +98,17 @@ def _fmt6(value: float) -> str:
 
 
 def render_report_markdown(report: AnalysisReport) -> str:
-    rows = [
-        ("symbol", report.symbol),
-        ("n", str(report.n)),
-        ("skew", _fmt6(report.skew)),
-        ("excess_kurtosis", _fmt6(report.excess_kurtosis)),
-        ("shapiro_w", _fmt6(report.shapiro_w)),
-        ("shapiro_p", _fmt6(report.shapiro_p)),
-        ("normal_mean", _fmt6(report.normal_fit.mean)),
-        ("normal_sigma", _fmt6(report.normal_fit.sigma)),
-        ("laplace_mu", _fmt6(report.laplace_fit.mu)),
-        ("laplace_scale", _fmt6(report.laplace_fit.scale)),
-        ("ks_normal", _fmt6(report.ks_normal)),
-        ("ks_laplace", _fmt6(report.ks_laplace)),
-        ("log_lik_normal", _fmt6(report.log_lik_normal)),
-        ("log_lik_laplace", _fmt6(report.log_lik_laplace)),
-        ("aic_normal", _fmt6(report.aic_normal)),
-        ("aic_laplace", _fmt6(report.aic_laplace)),
-        ("better_fit", report.better_fit),
-    ]
+    rows = []
+    for field in fields(AnalysisReport):
+        value = getattr(report, field.name)
+        if field.name in _NESTED:
+            prefix = field.name.removesuffix("_fit")
+            rows.extend(
+                (f"{prefix}_{param.name}", _fmt6(getattr(value, param.name)))
+                for param in fields(value)
+            )
+        elif field.name != "warnings":
+            rows.append((field.name, _fmt6(value) if isinstance(value, float) else str(value)))
     key_width = max(len(k) for k, _ in rows)
     value_width = max(max(len(v) for _, v in rows), len("value"))
     lines = [
@@ -185,34 +150,22 @@ def histogram(values: Sequence[float], bins: int) -> HistogramData:
     return HistogramData(bin_edges=edges, counts=tuple(counts), densities=densities)
 
 
-def histogram_to_dict(symbol: str, hist: HistogramData) -> dict:
-    return {
-        "symbol": symbol,
-        "n": sum(hist.counts),
-        "bin_edges": list(hist.bin_edges),
-        "counts": list(hist.counts),
-        "densities": list(hist.densities),
-    }
-
-
 def render_histogram_json(symbol: str, hist: HistogramData) -> str:
-    return json.dumps(histogram_to_dict(symbol, hist), indent=2)
+    return json.dumps({"symbol": symbol, "n": sum(hist.counts), **asdict(hist)}, indent=2)
 
 
-def ecdf_overlay(
-    values: Sequence[float],
-) -> tuple[list[tuple[float, float, float, float]], NormalParams, LaplaceParams]:
+def ecdf_overlay(values: Sequence[float]) -> list[tuple[float, float, float, float]]:
     """Rows (x, ecdf, normal_cdf, laplace_cdf) at each sorted value, with
     both families fitted to the sample."""
-    gof = compare_fits(values)
-    normal_params = gof.normal.params
-    laplace_params = gof.laplace.params
+    if len(values) < 4:
+        raise InsufficientDataError(f"fit comparison needs n >= 4, got {len(values)}")
+    normal_params = fit_normal(values)
+    laplace_params = fit_laplace(values)
     curve = ecdf(values)
-    rows = [
+    return [
         (x, curve.evaluate(x), normal_cdf(x, normal_params), laplace_cdf(x, laplace_params))
         for x in curve.sorted_x
     ]
-    return rows, normal_params, laplace_params
 
 
 def render_ecdf_csv(rows: Sequence[tuple[float, float, float, float]]) -> str:
@@ -266,12 +219,13 @@ def render_ecdf_svg(rows: Sequence[tuple[float, float, float, float]], symbol: s
         " ".join(f"{px(x)},{py(fl)}" for x, _, _, fl in rows),
     ]
 
+    title = symbol.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
         f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
         f'<text x="{_SVG_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{symbol}: empirical CDF vs fitted models</text>',
+        f'font-family="sans-serif" font-size="15">{title}: empirical CDF vs fitted models</text>',
     ]
     axis_color = "#444444"
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h

@@ -97,6 +97,15 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(tmp_path / "nope.csv")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_invalid_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["analyze", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "UTF-8" in err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+
     def test_single_row_exit_2(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text(
@@ -182,6 +191,14 @@ class TestEcdfCommand:
         root = ET.fromstring(out.read_text())
         assert root.tag.endswith("svg")
 
+    def test_three_returns_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "three.txt"
+        path.write_text("0.01\n-0.02\n0.005\n", encoding="utf-8")
+        assert main([
+            "ecdf", "--input", str(path), "--returns-only", "--output", str(tmp_path / "x"),
+        ]) == 2
+        assert "n >= 4, got 3" in capsys.readouterr().err
+
     def test_bad_format_exit_1(self, laplace_csv, tmp_path, capsys):
         assert main([
             "ecdf", "--input", str(laplace_csv), "--format", "png",
@@ -227,6 +244,21 @@ class TestHistCommand:
             "hist", "--input", str(laplace_csv), "--bins", "0",
             "--output", str(tmp_path / "x"),
         ]) == 1
+
+
+@pytest.mark.parametrize("command", ["ecdf", "hist"])
+def test_null_rows_warned_on_stderr(command, tmp_path, capsys):
+    text = ohlcv_csv_from_returns([0.01, -0.02, 0.005, 0.01, -0.01, 0.02, 0.0, 0.01])
+    lines = text.splitlines()
+    lines.insert(4, "2012-01-20,null,null,null,null,null,null")
+    path = tmp_path / "gaps.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--input", str(path), "--output", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "returndist: warning: line 5: null field, row skipped\n"
+    assert out.exists()
 
 
 class TestDeterminism:

@@ -124,8 +124,8 @@ class TestMomentReport:
         sample = sample_normal(512, NormalParams(1.0, 2.0), 9)
         report = moment_report(sample)
         assert report.n == 512
-        assert report.skew == pytest.approx(skewness(sample))
-        assert report.excess_kurtosis == pytest.approx(excess_kurtosis(sample))
+        assert report.skew == skewness(sample)
+        assert report.excess_kurtosis == excess_kurtosis(sample)
         assert report.m2 == pytest.approx(central_moment(sample, 2))
         assert report.m3 == pytest.approx(central_moment(sample, 3))
         assert report.m4 == pytest.approx(central_moment(sample, 4))

@@ -142,19 +142,17 @@ class TestHistogram:
 class TestEcdfOverlay:
     def test_row_contract(self):
         values = sample_laplace(400, STD_LAPLACE, 91)
-        rows, normal_params, laplace_params = ecdf_overlay(values)
+        rows = ecdf_overlay(values)
         assert len(rows) == len(values)
         ecdf_column = [r[1] for r in rows]
         assert ecdf_column == sorted(ecdf_column)
         assert ecdf_column[-1] == 1.0
         assert [r[0] for r in rows] == sorted(values)
-        assert normal_params.sigma > 0
-        assert laplace_params.scale > 0
 
     def test_laplace_curve_closer_on_laplace_data(self):
         wins = 0
         for seed in range(100):
-            rows, _, _ = ecdf_overlay(sample_laplace(1879, STD_LAPLACE, 60_000 + seed))
+            rows = ecdf_overlay(sample_laplace(1879, STD_LAPLACE, 60_000 + seed))
             gap_normal = max(abs(e - fn) for _, e, fn, _ in rows)
             gap_laplace = max(abs(e - fl) for _, e, _, fl in rows)
             wins += gap_laplace < gap_normal
@@ -162,7 +160,7 @@ class TestEcdfOverlay:
 
     def test_csv_rendering(self):
         values = sample_normal(50, STD_NORMAL, 2)
-        rows, _, _ = ecdf_overlay(values)
+        rows = ecdf_overlay(values)
         lines = render_ecdf_csv(rows).splitlines()
         assert lines[0] == "x,ecdf,normal_cdf,laplace_cdf"
         assert len(lines) == 51
@@ -176,13 +174,14 @@ class TestEcdfOverlay:
         import xml.etree.ElementTree as ET
 
         values = sample_normal(80, STD_NORMAL, 3)
-        rows, _, _ = ecdf_overlay(values)
-        svg = render_ecdf_svg(rows, "DEMO")
-        root = ET.fromstring(svg)
+        rows = ecdf_overlay(values)
         ns = "{http://www.w3.org/2000/svg}"
-        assert root.tag == f"{ns}svg"
-        polylines = root.findall(f"{ns}polyline")
-        assert len(polylines) == 3
-        labels = {el.text for el in root.iter(f"{ns}text")}
-        assert {"empirical", "normal fit", "laplace fit"} <= labels
-        assert any("DEMO" in (t or "") for t in labels)
+        for symbol in ("DEMO", "a<b&c"):
+            svg = render_ecdf_svg(rows, symbol)
+            root = ET.fromstring(svg)
+            assert root.tag == f"{ns}svg"
+            polylines = root.findall(f"{ns}polyline")
+            assert len(polylines) == 3
+            labels = {el.text for el in root.iter(f"{ns}text")}
+            assert {"empirical", "normal fit", "laplace fit"} <= labels
+            assert any(symbol in (t or "") for t in labels)
