@@ -1,7 +1,7 @@
 """Command-line interface: analyze, sample, ecdf, and hist subcommands.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error,
-3 computation error (degenerate sample).
+3 computation error (degenerate sample) or any other failure.
 """
 
 from __future__ import annotations
@@ -9,15 +9,17 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from .distfit import LaplaceParams, NormalParams, sample_laplace, sample_normal
-from .errors import (
-    DataFormatError,
-    DegenerateSampleError,
-    DomainError,
-    InsufficientDataError,
+from .errors import DataFormatError, InsufficientDataError
+from .market_data import (
+    PRICE_FIELDS,
+    parse_ohlcv_csv,
+    parse_return_lines,
+    returns_to_lines,
+    simple_returns,
 )
-from .market_data import parse_ohlcv_csv, parse_return_lines, returns_to_lines, simple_returns
 from .report import (
     analyze_returns,
     ecdf_overlay,
@@ -41,6 +43,12 @@ class UsageError(Exception):
     pass
 
 
+_EXIT_CODES = (
+    (UsageError, EXIT_USAGE),
+    ((DataFormatError, InsufficientDataError, OSError), EXIT_DATA),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad arguments; the contract reserves 2 for data
     # errors and 1 for usage errors
@@ -53,7 +61,7 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="CSV file (Yahoo OHLCV export)")
     parser.add_argument(
         "--price-column",
-        choices=("adj_close", "close"),
+        choices=PRICE_FIELDS,
         default="adj_close",
         help="price field used for returns (default: adj_close)",
     )
@@ -98,7 +106,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_returns(args: argparse.Namespace) -> tuple[str, list[float], list[str]]:
+def _load_returns(args: argparse.Namespace) -> tuple[str, Sequence[float], list[str]]:
     path = Path(args.input)
     try:
         text = path.read_text(encoding="utf-8")
@@ -109,10 +117,10 @@ def _load_returns(args: argparse.Namespace) -> tuple[str, list[float], list[str]
         return symbol, parse_return_lines(text), []
     series, warnings = parse_ohlcv_csv(text, symbol)
     returns = simple_returns(series, args.price_column)
-    return symbol, list(returns.values), warnings
+    return symbol, returns.values, warnings
 
 
-def _load_and_warn(args: argparse.Namespace) -> tuple[str, list[float]]:
+def _load_and_warn(args: argparse.Namespace) -> tuple[str, Sequence[float]]:
     # analyze carries its warnings in the report; the other readers print them
     symbol, values, warnings = _load_returns(args)
     sys.stderr.writelines(f"returndist: warning: {w}\n" for w in warnings)
@@ -180,18 +188,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code is None else int(exc.code)
     try:
         return args.run(args)
-    except UsageError as exc:
+    except Exception as exc:  # the CLI contract: one line on stderr, never a traceback
         print(f"returndist: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataFormatError, InsufficientDataError) as exc:
-        print(f"returndist: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"returndist: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DegenerateSampleError, DomainError) as exc:
-        print(f"returndist: error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), EXIT_COMPUTE)
 
 
 if __name__ == "__main__":

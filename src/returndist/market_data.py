@@ -5,9 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DataFormatError,
@@ -18,27 +18,27 @@ from .errors import (
 
 OHLCV_HEADER = ("Date", "Open", "High", "Low", "Close", "Adj Close", "Volume")
 
-PRICE_FIELDS = ("close", "adj_close")
+PRICE_FIELDS = ("adj_close", "close")
 
-
-@dataclass(frozen=True)
-class PricePoint:
-    date: date
-    open: float
-    high: float
-    low: float
-    close: float
-    adj_close: float
-    volume: int
+# the five price columns as error messages name them: "open" ... "adj close"
+_PRICE_NAMES = tuple(name.lower() for name in OHLCV_HEADER[1:6])
 
 
 @dataclass(frozen=True)
 class PriceSeries:
+    """One tuple per OHLCV column, each in ascending date order."""
+
     symbol: str
-    points: tuple[PricePoint, ...]
+    dates: tuple[date, ...]
+    open: tuple[float, ...]
+    high: tuple[float, ...]
+    low: tuple[float, ...]
+    close: tuple[float, ...]
+    adj_close: tuple[float, ...]
+    volume: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.dates)
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,27 @@ def _parse_price(raw: str, lineno: int, column: str) -> float:
     return value
 
 
+def _csv_records(text: str) -> Iterator[list[str]]:
+    # exhausting the generator frees the reader's 4-byte-per-character copy of the text
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
+
+
 def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
     """Parse a Yahoo Finance CSV export into a date-sorted PriceSeries.
 
     Rows containing the literal ``null`` are skipped and reported in the
     returned warnings list. Raises DataFormatError for a bad header,
-    unparsable fields, non-positive prices, or duplicate dates, and
-    EmptyInputError when there are no data rows at all.
+    malformed CSV, unparsable fields, non-positive prices, or duplicate
+    dates, and EmptyInputError when there are no data rows at all.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("missing CSV header") from None
+    records = _csv_records(text)
+    header = next(records, None)
+    if header is None:
+        raise DataFormatError("missing CSV header")
     if header:
         header[0] = header[0].lstrip("﻿")
     if tuple(col.strip() for col in header) != OHLCV_HEADER:
@@ -85,14 +93,11 @@ def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
             f"unknown header {','.join(header)!r}; expected {','.join(OHLCV_HEADER)!r}"
         )
 
-    points: list[PricePoint] = []
+    rows: dict[date, tuple] = {}
     warnings: list[str] = []
-    seen_dates: set[date] = set()
-    data_rows = 0
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(records, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
-        data_rows += 1
         if len(row) != len(OHLCV_HEADER):
             raise DataFormatError(
                 f"line {lineno}: expected {len(OHLCV_HEADER)} fields, got {len(row)}"
@@ -104,35 +109,29 @@ def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
             row_date = date.fromisoformat(row[0].strip())
         except ValueError:
             raise DataFormatError(f"line {lineno}: unparsable date {row[0]!r}") from None
-        if row_date in seen_dates:
+        if row_date in rows:
             raise DataFormatError(f"line {lineno}: duplicate date {row_date.isoformat()}")
-        seen_dates.add(row_date)
-        open_, high, low, close, adj_close = (
-            _parse_price(raw, lineno, column)
-            for raw, column in zip(row[1:6], ("open", "high", "low", "close", "adj close"))
-        )
+        prices = [_parse_price(raw, lineno, name) for raw, name in zip(row[1:6], _PRICE_NAMES)]
         try:
             volume = int(row[6].strip())
         except ValueError:
             raise DataFormatError(f"line {lineno}: unparsable volume {row[6]!r}") from None
         if volume < 0:
             raise DataFormatError(f"line {lineno}: negative volume {volume}")
-        points.append(PricePoint(row_date, open_, high, low, close, adj_close, volume))
+        rows[row_date] = (*prices, volume)
 
-    if data_rows == 0:
+    if not rows and not warnings:
         raise EmptyInputError("CSV contains no data rows")
-    points.sort(key=lambda p: p.date)
-    return PriceSeries(symbol=symbol, points=tuple(points)), warnings
+    dates = tuple(sorted(rows))
+    columns = list(zip(*map(rows.get, dates))) or [()] * (len(OHLCV_HEADER) - 1)
+    return PriceSeries(symbol, dates, *columns), warnings
 
 
 def price_series_to_csv(series: PriceSeries) -> str:
     """Serialize a PriceSeries back to Yahoo CSV form (parse round-trips)."""
-    lines = [",".join(OHLCV_HEADER)]
-    for p in series.points:
-        lines.append(
-            f"{p.date.isoformat()},{p.open!r},{p.high!r},{p.low!r},"
-            f"{p.close!r},{p.adj_close!r},{p.volume}"
-        )
+    # str() of a date is its ISO form, and of a float its round-tripping repr
+    rows = zip(*(getattr(series, column.name) for column in fields(series)[1:]))
+    lines = [",".join(OHLCV_HEADER), *(",".join(map(str, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -144,28 +143,25 @@ def simple_returns(prices: PriceSeries, field: str = "adj_close") -> ReturnSerie
         raise InsufficientDataError(
             f"need at least 2 price points to compute returns, got {len(prices)}"
         )
-    dates: list[date] = []
-    values: list[float] = []
-    previous = getattr(prices.points[0], field)
-    for point in prices.points[1:]:
-        current = getattr(point, field)
-        if previous == 0.0:
-            raise DomainError(f"zero price on {point.date.isoformat()} denominator")
-        dates.append(point.date)
-        values.append((current - previous) / previous)
-        previous = current
-    return ReturnSeries(symbol=prices.symbol, dates=tuple(dates), values=tuple(values))
+    column = getattr(prices, field)
+    if 0.0 in column[:-1]:
+        day = prices.dates[column.index(0.0) + 1]
+        raise DomainError(f"zero price on {day.isoformat()} denominator")
+    values = tuple((cur - prev) / prev for prev, cur in zip(column, column[1:]))
+    finite = list(map(math.isfinite, values))
+    if not all(finite):
+        day = prices.dates[finite.index(False) + 1]
+        raise DataFormatError(f"non-finite return on {day.isoformat()}")
+    return ReturnSeries(symbol=prices.symbol, dates=prices.dates[1:], values=values)
 
 
 def parse_return_lines(text: str) -> list[float]:
     """Parse the one-return-per-line format written by the sample command."""
     values: list[float] = []
-    rows = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
-        rows += 1
         try:
             value = float(stripped)
         except ValueError:
@@ -173,7 +169,7 @@ def parse_return_lines(text: str) -> list[float]:
         if not math.isfinite(value):
             raise DataFormatError(f"line {lineno}: non-finite return {stripped!r}")
         values.append(value)
-    if rows == 0:
+    if not values:
         raise EmptyInputError("input contains no return values")
     return values
 

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import returndist
 from returndist.cli import main
-from returndist.distfit import LaplaceParams, sample_laplace
+from returndist.distfit import LaplaceParams, Xoshiro256PlusPlus, sample_laplace
 from returndist.market_data import OHLCV_HEADER
 
 from conftest import ohlcv_csv_from_returns
@@ -272,3 +276,117 @@ class TestDeterminism:
             return proc.stdout
 
         assert run() == run()
+
+
+_SIX = (1.0, -2.0, 0.5, 1.3, -0.7, 0.2)
+_HEADER = ",".join(OHLCV_HEADER)
+_FAILING_INPUTS = {
+    # m2 is subnormal, so m2**1.5 underflows to zero
+    "tiny.txt": "".join(f"{v * 1e-160!r}\n" for v in _SIX),
+    # cubed deviations overflow to +inf and -inf
+    "huge.txt": "".join(f"{v * 1e307!r}\n" for v in _SIX),
+    # adj close jumps from 1e-300 to 1e300: an infinite return
+    "jump.csv": _HEADER + "\n" + "".join(
+        f"2012-01-{3 + i:02d},1,1,1,1,{p},10\n" for i, p in enumerate(("1e-300", "1e300", "2e300"))
+    ),
+    # over csv's 131 072-character field limit
+    "wide.csv": _HEADER + "\n2012-01-03,1,1,1,1,1," + "9" * 140_000 + "\n",
+}
+
+
+@pytest.mark.parametrize(
+    ("name", "command", "code"),
+    [
+        ("tiny.txt", "analyze", 3),
+        ("huge.txt", "analyze", 3),
+        ("huge.txt", "ecdf", 3),
+        ("jump.csv", "analyze", 2),
+        ("jump.csv", "ecdf", 2),
+        ("jump.csv", "hist", 2),
+        ("wide.csv", "analyze", 2),
+    ],
+)
+def test_failure_is_one_line(name, command, code, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(_FAILING_INPUTS[name], encoding="utf-8")
+    argv = [command, "--input", str(path)]
+    if name.endswith(".txt"):
+        argv.append("--returns-only")
+    if command != "analyze":
+        argv += ["--output", str(tmp_path / "out")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("returndist: error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+_FIELD_VALUES = (b"null", b"1e300", b"1e-300", b"5e-324", b"0", b"-1", b"")
+_TOKENS = (b"-", b"e", b".", b",", b"\n", b'"', b" ", b"\x00")
+
+
+def _mutate(data: bytes, rng: Xoshiro256PlusPlus) -> bytes:
+    """Apply 1-3 random edits: overwrite a byte with a digit, replace a
+    whole field with an extreme number, ``null`` or nothing, insert a
+    token, delete or duplicate a span, or (rarely) insert a raw byte."""
+    buf = bytearray(data)
+    for _ in range(1 + rng.next_uint64() % 3):
+        at = rng.next_uint64() % (len(buf) + 1)
+        op = rng.next_uint64() % 16
+        fields = [m.span() for m in re.finditer(rb"[^,\n]+", buf)]
+        if op < 4:
+            buf[at : at + 1] = b"%d" % (rng.next_uint64() % 10)
+        elif op < 10 and fields:
+            lo, hi = fields[rng.next_uint64() % len(fields)]
+            buf[lo:hi] = _FIELD_VALUES[rng.next_uint64() % len(_FIELD_VALUES)]
+        elif op < 12:
+            buf[at:at] = _TOKENS[rng.next_uint64() % len(_TOKENS)]
+        elif op < 13:
+            del buf[at : at + 1 + rng.next_uint64() % 40]
+        elif op < 15:
+            buf[at:at] = buf[at : at + 1 + rng.next_uint64() % 40]
+        else:
+            buf.insert(at, rng.next_uint64() % 256)
+    return bytes(buf)
+
+
+def _reject_constant(name: str) -> None:
+    raise AssertionError(f"{name} in JSON output")
+
+
+def test_fuzzed_input_never_escapes(tmp_path, capsys):
+    valid = ohlcv_csv_from_returns([0.01 * ((i * 7) % 5 - 2) for i in range(29)]).encode()
+    rng = Xoshiro256PlusPlus(2019)
+    path = tmp_path / "fuzz.csv"
+    out = tmp_path / "out"
+    for case in range(200):
+        if case % 4 == 0:
+            data = bytes(rng.next_uint64() % 256 for _ in range(rng.next_uint64() % 200))
+        else:
+            data = _mutate(valid, rng)
+        path.write_bytes(data)
+        for command in ("analyze", "ecdf", "hist"):
+            argv = [command, "--input", str(path)]
+            if command != "analyze":
+                argv += ["--output", str(out)]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 2, 3), (case, command, data, captured.err)
+            assert "Traceback" not in captured.err
+            if code == 0 and command != "ecdf":
+                text = captured.out if command == "analyze" else out.read_text()
+                json.loads(text, parse_constant=_reject_constant)
+
+
+def test_cli_imports_only_stdlib():
+    src = Path(returndist.__file__).parent.parent
+    code = "import sys, returndist.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert loaded - sys.stdlib_module_names - {"returndist", "__main__"} == set()

@@ -15,7 +15,6 @@ from returndist.errors import (
 )
 from returndist.market_data import (
     OHLCV_HEADER,
-    PricePoint,
     PriceSeries,
     parse_ohlcv_csv,
     parse_return_lines,
@@ -33,11 +32,9 @@ def make_csv(*rows: str) -> str:
 
 def make_series(prices: list[float], symbol: str = "TEST") -> PriceSeries:
     start = date(2012, 1, 1)
-    points = tuple(
-        PricePoint(start + timedelta(days=i), p, p, p, p, p, 1000)
-        for i, p in enumerate(prices)
-    )
-    return PriceSeries(symbol=symbol, points=points)
+    dates = tuple(start + timedelta(days=i) for i in range(len(prices)))
+    column = tuple(prices)
+    return PriceSeries(symbol, dates, column, column, column, column, column, (1000,) * len(dates))
 
 
 class TestParse:
@@ -46,16 +43,10 @@ class TestParse:
             make_csv("2012-01-03,100,101,99,100.5,100.5,1000"), "SPX"
         )
         assert warnings == []
+        assert series == PriceSeries(
+            "SPX", (date(2012, 1, 3),), (100.0,), (101.0,), (99.0,), (100.5,), (100.5,), (1000,)
+        )
         assert len(series) == 1
-        point = series.points[0]
-        assert point.date == date(2012, 1, 3)
-        assert point.open == 100.0
-        assert point.high == 101.0
-        assert point.low == 99.0
-        assert point.close == 100.5
-        assert point.adj_close == 100.5
-        assert point.volume == 1000
-        assert series.symbol == "SPX"
 
     def test_descending_dates_resorted(self):
         series, _ = parse_ohlcv_csv(
@@ -65,12 +56,15 @@ class TestParse:
             ),
             "SPX",
         )
-        assert [p.date for p in series.points] == [date(2012, 1, 3), date(2012, 1, 4)]
+        assert series.dates == (date(2012, 1, 3), date(2012, 1, 4))
+        assert series.close == (100.5, 101.5)
+        assert series.volume == (1000, 2000)
 
     def test_null_row_skipped_with_warning(self):
         series, warnings = parse_ohlcv_csv(
             make_csv("2012-01-03,null,null,null,null,null,null"), "SPX"
         )
+        assert series == PriceSeries("SPX", (), (), (), (), (), (), ())
         assert len(series) == 0
         assert len(warnings) == 1
         assert "null" in warnings[0]
@@ -136,6 +130,11 @@ class TestParse:
         )
         assert len(series) == 1
 
+    def test_oversized_field_is_data_error(self):
+        text = make_csv("2012-01-03,100,101,99,100.5,100.5," + "9" * 140_000)
+        with pytest.raises(DataFormatError, match="line 2: field larger than field limit"):
+            parse_ohlcv_csv(text, "X")
+
     def test_blank_lines_ignored(self):
         series, warnings = parse_ohlcv_csv(
             HEADER + "\n\n2012-01-03,100,101,99,100.5,100.5,1000\n\n", "X"
@@ -169,11 +168,9 @@ class TestSimpleReturns:
         assert simple_returns(make_series([200.0, 190.0])).values == (-0.05,)
 
     def test_price_field_selection(self):
-        points = (
-            PricePoint(date(2012, 1, 3), 1.0, 1.0, 1.0, 100.0, 50.0, 0),
-            PricePoint(date(2012, 1, 4), 1.0, 1.0, 1.0, 110.0, 51.0, 0),
-        )
-        series = PriceSeries(symbol="X", points=points)
+        dates = (date(2012, 1, 3), date(2012, 1, 4))
+        ones = (1.0, 1.0)
+        series = PriceSeries("X", dates, ones, ones, ones, (100.0, 110.0), (50.0, 51.0), (0, 0))
         assert simple_returns(series, "close").values[0] == pytest.approx(0.10)
         assert simple_returns(series, "adj_close").values[0] == pytest.approx(0.02)
 
@@ -186,12 +183,16 @@ class TestSimpleReturns:
             simple_returns(make_series([100.0]))
 
     def test_zero_denominator(self):
-        points = (
-            PricePoint(date(2012, 1, 3), 1.0, 1.0, 1.0, 0.0, 0.0, 0),
-            PricePoint(date(2012, 1, 4), 1.0, 1.0, 1.0, 1.0, 1.0, 0),
-        )
-        with pytest.raises(DomainError):
-            simple_returns(PriceSeries(symbol="X", points=points))
+        dates = (date(2012, 1, 3), date(2012, 1, 4), date(2012, 1, 5))
+        prices = (1.0, 0.0, 1.0)
+        series = PriceSeries("X", dates, prices, prices, prices, prices, prices, (0, 0, 0))
+        with pytest.raises(DomainError, match="zero price on 2012-01-05 denominator"):
+            simple_returns(series)
+
+    def test_non_finite_return(self):
+        series = make_series([1.0, 1e-300, 1e300])
+        with pytest.raises(DataFormatError, match="non-finite return on 2012-01-03"):
+            simple_returns(series)
 
     def test_length_contract(self):
         series = make_series([100.0, 101.0, 99.0, 103.0])
