@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, fields
 from datetime import date
+from itertools import compress, islice, repeat
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -22,6 +24,9 @@ PRICE_FIELDS = ("adj_close", "close")
 
 # the five price columns as error messages name them: "open" ... "adj close"
 _PRICE_NAMES = tuple(name.lower() for name in OHLCV_HEADER[1:6])
+
+# text per columnar chunk, cut at a newline: bounds the cells alive at once
+_CHUNK_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,29 +70,27 @@ def _parse_price(raw: str, lineno: int, column: str) -> float:
     return value
 
 
-def _csv_records(text: str) -> Iterator[list[str]]:
+def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV record with the physical line it starts on."""
     # exhausting the generator frees the reader's 4-byte-per-character copy of the text
     reader = csv.reader(io.StringIO(text))
+    lineno = 1
     try:
-        yield from reader
+        for row in reader:
+            yield lineno, row
+            lineno = reader.line_num + 1
     except csv.Error as exc:
         raise DataFormatError(f"line {reader.line_num}: {exc}") from None
 
 
-def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
-    """Parse a Yahoo Finance CSV export into a date-sorted PriceSeries.
-
-    Rows containing the literal ``null`` are skipped and reported in the
-    returned warnings list. Raises DataFormatError for a bad header,
-    malformed CSV, unparsable fields, non-positive prices, or duplicate
-    dates, and EmptyInputError when there are no data rows at all.
-    """
+def _parse_rows(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
+    """The csv-module parser: any input, every check and message, row by row."""
     records = _csv_records(text)
-    header = next(records, None)
+    _, header = next(records, (1, None))
     if header is None:
         raise DataFormatError("missing CSV header")
     if header:
-        header[0] = header[0].lstrip("﻿")
+        header[0] = header[0].lstrip("\ufeff")
     if tuple(col.strip() for col in header) != OHLCV_HEADER:
         raise DataFormatError(
             f"unknown header {','.join(header)!r}; expected {','.join(OHLCV_HEADER)!r}"
@@ -95,7 +98,7 @@ def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
 
     rows: dict[date, tuple] = {}
     warnings: list[str] = []
-    for lineno, row in enumerate(records, start=2):
+    for lineno, row in records:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(OHLCV_HEADER):
@@ -125,6 +128,87 @@ def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
     dates = tuple(sorted(rows))
     columns = list(zip(*map(rows.get, dates))) or [()] * (len(OHLCV_HEADER) - 1)
     return PriceSeries(symbol, dates, *columns), warnings
+
+
+def _parse_columns(text: str, symbol: str) -> tuple[PriceSeries, list[str]] | None:
+    """Whole-column parse of a plain LF file, sorted by date.
+
+    Returns None, having raised nothing, when the text could parse
+    differently from ``_parse_rows`` or fails any of its checks: quotes,
+    CR or NUL, a bad header, a line without exactly seven fields or over
+    the csv field limit, an unconvertible cell, a non-finite or
+    non-positive price, a negative volume, or a duplicate date.
+    Otherwise the result equals ``_parse_rows``'s.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    head_end = text.find("\n")
+    if head_end < 0:
+        return None
+    header = text[:head_end].lstrip("\ufeff").split(",")
+    if tuple(col.strip() for col in header) != OHLCV_HEADER:
+        return None
+    limit = csv.field_size_limit()
+    dates: list[date] = []
+    prices: tuple[list[float], ...] = ([], [], [], [], [])
+    volume: list[int] = []
+    warnings: list[str] = []
+    lineno = 2
+    start, stop = head_end + 1, len(text) - text.endswith("\n")
+    while start <= stop:
+        # one chunk of whole lines, so only one chunk's cells exist at a time
+        end = text.find("\n", start + _CHUNK_CHARS, stop)
+        if end < 0:
+            end = stop
+        lines = text[start:end].split("\n")
+        start = end + 1
+        if set(map(str.count, lines, repeat(","))) != {6} or max(map(len, lines)) > limit:
+            return None
+        for i in compress(range(len(lines)), map(operator.contains, lines, repeat("null"))):
+            if any(cell.strip() == "null" for cell in lines[i].split(",")[1:]):
+                warnings.append(f"line {lineno + i}: null field, row skipped")
+                lines[i] = ""
+        lineno += len(lines)
+        cells = ",".join(filter(None, lines)).split(",")
+        if cells == [""]:  # every line of the chunk was a null row
+            continue
+        try:
+            dates.extend(map(date.fromisoformat, cells[0::7]))
+            for k, column in enumerate(prices, start=1):
+                column.extend(map(float, cells[k::7]))
+            volume.extend(map(int, cells[6::7]))
+        except ValueError:
+            return None
+    valid = (
+        dates
+        and all(all(map(math.isfinite, column)) and min(column) > 0.0 for column in prices)
+        and min(volume) >= 0
+    )
+    if not valid:
+        return None
+    if not all(map(operator.lt, dates, islice(dates, 1, None))):
+        # rows out of date order (a newest-first export) are sorted here, as _parse_rows does
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates = list(map(dates.__getitem__, order))
+        if not all(map(operator.lt, dates, islice(dates, 1, None))):
+            return None  # a duplicate date, which _parse_rows reports with its line
+        prices = tuple(list(map(column.__getitem__, order)) for column in prices)
+        volume = list(map(volume.__getitem__, order))
+    return PriceSeries(symbol, tuple(dates), *map(tuple, prices), tuple(volume)), warnings
+
+
+def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
+    """Parse a Yahoo Finance CSV export into a date-sorted PriceSeries.
+
+    Rows containing the literal ``null`` are skipped and reported in the
+    returned warnings list. Raises DataFormatError for a bad header,
+    malformed CSV, unparsable fields, non-positive prices, or duplicate
+    dates, and EmptyInputError when there are no data rows at all.
+    Plain LF files without quotes or blank lines are converted a whole
+    column at a time; any other input, and every error, goes through the
+    csv module row by row, with the same result.
+    """
+    return _parse_columns(text, symbol) or _parse_rows(text, symbol)
 
 
 def price_series_to_csv(series: PriceSeries) -> str:

@@ -1,9 +1,11 @@
-"""Shared helpers for building synthetic market data."""
+"""Shared helpers for building synthetic and mutated market data."""
 
 from __future__ import annotations
 
+import re
 from datetime import date, timedelta
 
+from returndist.distfit import Xoshiro256PlusPlus
 from returndist.market_data import OHLCV_HEADER
 
 
@@ -27,3 +29,32 @@ def ohlcv_csv_from_prices(prices: list[float]) -> str:
 
 def ohlcv_csv_from_returns(returns: list[float], start: float = 100.0) -> str:
     return ohlcv_csv_from_prices(prices_from_returns(returns, start))
+
+
+_FIELD_VALUES = (b"null", b"1e300", b"1e-300", b"5e-324", b"0", b"-1", b"")
+_TOKENS = (b"-", b"e", b".", b",", b"\n", b'"', b" ", b"\x00")
+
+
+def mutate(data: bytes, rng: Xoshiro256PlusPlus) -> bytes:
+    """Apply 1-3 random edits: overwrite a byte with a digit, replace a
+    whole field with an extreme number, ``null`` or nothing, insert a
+    token, delete or duplicate a span, or (rarely) insert a raw byte."""
+    buf = bytearray(data)
+    for _ in range(1 + rng.next_uint64() % 3):
+        at = rng.next_uint64() % (len(buf) + 1)
+        op = rng.next_uint64() % 16
+        fields = [m.span() for m in re.finditer(rb"[^,\n]+", buf)]
+        if op < 4:
+            buf[at : at + 1] = b"%d" % (rng.next_uint64() % 10)
+        elif op < 10 and fields:
+            lo, hi = fields[rng.next_uint64() % len(fields)]
+            buf[lo:hi] = _FIELD_VALUES[rng.next_uint64() % len(_FIELD_VALUES)]
+        elif op < 12:
+            buf[at:at] = _TOKENS[rng.next_uint64() % len(_TOKENS)]
+        elif op < 13:
+            del buf[at : at + 1 + rng.next_uint64() % 40]
+        elif op < 15:
+            buf[at:at] = buf[at : at + 1 + rng.next_uint64() % 40]
+        else:
+            buf.insert(at, rng.next_uint64() % 256)
+    return bytes(buf)

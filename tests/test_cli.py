@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +15,7 @@ from returndist.cli import main
 from returndist.distfit import LaplaceParams, Xoshiro256PlusPlus, sample_laplace
 from returndist.market_data import OHLCV_HEADER
 
-from conftest import ohlcv_csv_from_returns
+from conftest import mutate, ohlcv_csv_from_returns
 
 
 @pytest.fixture
@@ -321,35 +320,6 @@ def test_failure_is_one_line(name, command, code, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-_FIELD_VALUES = (b"null", b"1e300", b"1e-300", b"5e-324", b"0", b"-1", b"")
-_TOKENS = (b"-", b"e", b".", b",", b"\n", b'"', b" ", b"\x00")
-
-
-def _mutate(data: bytes, rng: Xoshiro256PlusPlus) -> bytes:
-    """Apply 1-3 random edits: overwrite a byte with a digit, replace a
-    whole field with an extreme number, ``null`` or nothing, insert a
-    token, delete or duplicate a span, or (rarely) insert a raw byte."""
-    buf = bytearray(data)
-    for _ in range(1 + rng.next_uint64() % 3):
-        at = rng.next_uint64() % (len(buf) + 1)
-        op = rng.next_uint64() % 16
-        fields = [m.span() for m in re.finditer(rb"[^,\n]+", buf)]
-        if op < 4:
-            buf[at : at + 1] = b"%d" % (rng.next_uint64() % 10)
-        elif op < 10 and fields:
-            lo, hi = fields[rng.next_uint64() % len(fields)]
-            buf[lo:hi] = _FIELD_VALUES[rng.next_uint64() % len(_FIELD_VALUES)]
-        elif op < 12:
-            buf[at:at] = _TOKENS[rng.next_uint64() % len(_TOKENS)]
-        elif op < 13:
-            del buf[at : at + 1 + rng.next_uint64() % 40]
-        elif op < 15:
-            buf[at:at] = buf[at : at + 1 + rng.next_uint64() % 40]
-        else:
-            buf.insert(at, rng.next_uint64() % 256)
-    return bytes(buf)
-
-
 def _reject_constant(name: str) -> None:
     raise AssertionError(f"{name} in JSON output")
 
@@ -363,7 +333,7 @@ def test_fuzzed_input_never_escapes(tmp_path, capsys):
         if case % 4 == 0:
             data = bytes(rng.next_uint64() % 256 for _ in range(rng.next_uint64() % 200))
         else:
-            data = _mutate(valid, rng)
+            data = mutate(valid, rng)
         path.write_bytes(data)
         for command in ("analyze", "ecdf", "hist"):
             argv = [command, "--input", str(path)]

@@ -12,10 +12,12 @@ from returndist.distfit import (
     Xoshiro256PlusPlus,
     laplace_cdf,
     laplace_quantile,
+    normal_cdf,
     sample_laplace,
     sample_normal,
 )
 from returndist.errors import DegenerateFitError, InsufficientDataError
+from returndist import gof
 from returndist.gof import compare_fits, ecdf, ks_statistic, log_likelihood
 
 STD_LAPLACE = LaplaceParams(mu=0.0, scale=1.0)
@@ -108,7 +110,33 @@ class TestLogLikelihood:
         assert log_likelihood(sample, STD_LAPLACE) == pytest.approx(direct)
 
 
+def _ks_per_point(sample, cdf):
+    """The definition, one point at a time: the reference for the KS kernel."""
+    n = len(sample)
+    distance = 0.0
+    for i, x in enumerate(sorted(sample), start=1):
+        f = cdf(x)
+        distance = max(distance, i / n - f, f - (i - 1) / n)
+    return distance
+
+
 class TestCompareFits:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ks_bit_identical_to_per_point_definition(self, seed):
+        n = (4, 5, 37, 1879)[seed % 4]
+        draw = sample_laplace if seed % 2 else sample_normal
+        sample = draw(n, STD_LAPLACE if seed % 2 else STD_NORMAL, seed)
+        if seed % 3 == 0:
+            sample = [round(x, 1) for x in sample]  # ties
+        report = compare_fits(sample)
+        sorted_x = sorted(sample)
+        for score, cdf in ((report.normal, normal_cdf), (report.laplace, laplace_cdf)):
+            per_point = [cdf(x, score.params) for x in sorted_x]
+            assert gof._cdf_values(sorted_x, score.params) == per_point
+            expected = _ks_per_point(sample, lambda x: cdf(x, score.params))
+            assert score.ks_distance == expected
+            assert ks_statistic(sample, lambda x: cdf(x, score.params)) == expected
+
     def test_laplace_sample_prefers_laplace(self):
         sample = sample_laplace(5000, STD_LAPLACE, 42)
         assert compare_fits(sample).better_fit == "laplace"

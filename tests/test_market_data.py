@@ -6,7 +6,8 @@ from datetime import date, timedelta
 
 import pytest
 
-from returndist.distfit import Xoshiro256PlusPlus
+from returndist import market_data
+from returndist.distfit import LaplaceParams, Xoshiro256PlusPlus, sample_laplace
 from returndist.errors import (
     DataFormatError,
     DomainError,
@@ -22,6 +23,8 @@ from returndist.market_data import (
     returns_to_lines,
     simple_returns,
 )
+
+from conftest import mutate, ohlcv_csv_from_returns
 
 HEADER = ",".join(OHLCV_HEADER)
 
@@ -135,12 +138,173 @@ class TestParse:
         with pytest.raises(DataFormatError, match="line 2: field larger than field limit"):
             parse_ohlcv_csv(text, "X")
 
+    def test_line_numbers_after_multi_line_field(self):
+        lines = (
+            "2012-01-03,100,101,99,100.5,\"1\n\",1000",  # physical lines 2 and 3
+            "2012-01-04,101,102,100,101.5,101.5,2000",
+        )
+        _, warnings = parse_ohlcv_csv(make_csv(*lines, "2012-01-05,null,1,1,1,1,1"), "X")
+        assert warnings == ["line 5: null field, row skipped"]
+        with pytest.raises(DataFormatError, match="^line 5: unparsable date 'bad'$"):
+            parse_ohlcv_csv(make_csv(*lines, "bad,1,1,1,1,1,1"), "X")
+
     def test_blank_lines_ignored(self):
         series, warnings = parse_ohlcv_csv(
             HEADER + "\n\n2012-01-03,100,101,99,100.5,100.5,1000\n\n", "X"
         )
         assert len(series) == 1
         assert warnings == []
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text, "X")
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_paths_agree(text: str, columnar: bool) -> None:
+    """parse_ohlcv_csv equals the row-wise reference, and the columnar
+    path ran exactly when expected (it never raises, it declines)."""
+    assert _outcome(parse_ohlcv_csv, text) == _outcome(market_data._parse_rows, text)
+    assert (market_data._parse_columns(text, "X") is not None) == columnar
+
+
+ROW_1 = "2012-01-03,100,101,99,100.5,100.5,1000"
+ROW_2 = "2012-01-04,101,102,100,101.5,101.5,2000"
+ROW_3 = "2012-01-05,102,103,101,102.5,102.5,3000"
+
+
+def _with(row: str, index: int, cell: str) -> str:
+    cells = row.split(",")
+    cells[index] = cell
+    return ",".join(cells)
+
+
+class TestColumnarPath:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            make_csv(ROW_1, ROW_2, ROW_3),
+            HEADER + "\n" + ROW_1 + "\n" + ROW_2,  # no final newline
+            "\ufeff" + make_csv(ROW_1, ROW_2),
+            make_csv(ROW_1, _with(ROW_2, 3, "null"), ROW_3, "2012-01-06, null ,1,1,1,1,1"),
+            make_csv(_with(ROW_1, 1, " 100 "), _with(ROW_2, 6, " 2000")),
+            make_csv(ROW_1, _with(ROW_2, 1, "0" * 100_000 + "101")),
+            make_csv(ROW_3, _with(ROW_2, 2, "null"), ROW_1),
+            make_csv(ROW_1, ROW_3, ROW_2),
+        ],
+        ids=[
+            "plain", "no-final-newline", "bom", "null-rows", "spaced-numbers", "long-field",
+            "descending-dates", "unsorted-dates",
+        ],
+    )
+    def test_columnar_inputs(self, text):
+        _assert_paths_agree(text, columnar=True)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            make_csv(ROW_1, ROW_2).replace("\n", "\r\n"),
+            make_csv(ROW_1, _with(ROW_2, 1, '"101"')),
+            HEADER + "\n\n" + ROW_1 + "\n\n" + ROW_2 + "\n",
+            make_csv(ROW_1, " , , , , , , ", ROW_2),
+            make_csv(ROW_1, _with(ROW_2, 0, " 2012-01-04")),
+            make_csv(ROW_1, ROW_2 + "\0"),
+            make_csv(ROW_1, _with(_with(ROW_2, 1, "0" * 70_000 + "101"), 2, "0" * 70_000 + "102")),
+            make_csv("2012-01-03,null,null,null,null,null,null"),
+        ],
+        ids=[
+            "crlf", "quoted-field", "blank-lines", "whitespace-row", "spaced-date", "nul",
+            "line-over-csv-limit", "all-null",
+        ],
+    )
+    def test_fallback_inputs(self, text):
+        _assert_paths_agree(text, columnar=False)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            HEADER + "\n",
+            HEADER,
+            "Date,Open,Close\n2012-01-03,1,2\n",
+            make_csv(ROW_1, ROW_1),
+            make_csv(ROW_2, ROW_1, ROW_3, ROW_1),
+            make_csv(ROW_1, ROW_2 + ",5"),
+            make_csv(ROW_1, ROW_2.rpartition(",")[0]),
+            make_csv(ROW_1, _with(ROW_2, 0, "03/01/2012")),
+            make_csv(ROW_1, _with(ROW_2, 2, "abc")),
+            make_csv(ROW_1, _with(ROW_2, 6, "1.5")),
+            make_csv(ROW_1, _with(ROW_2, 6, "-1")),
+            make_csv(ROW_1, _with(ROW_2, 4, "nan")),
+            make_csv(ROW_1, _with(ROW_2, 5, "inf")),
+            make_csv(ROW_1, _with(ROW_2, 3, "-0.0")),
+            make_csv(ROW_1, _with(ROW_2, 1, "0")),
+            make_csv(ROW_1, _with(ROW_2, 6, "9" * 140_000)),
+            make_csv(ROW_1, _with(ROW_2, 0, "2012-01-0\udcff")),
+        ],
+        ids=[
+            "empty", "header-only", "header-no-newline", "bad-header", "duplicate-date",
+            "unsorted-duplicate-date", "extra-field", "missing-field", "bad-date", "bad-price",
+            "float-volume", "negative-volume", "nan-price", "inf-price", "negative-zero-price",
+            "zero-price", "field-over-csv-limit", "surrogate",
+        ],
+    )
+    def test_errors_come_from_row_parser(self, text):
+        with pytest.raises((DataFormatError, EmptyInputError)):
+            parse_ohlcv_csv(text, "X")
+        _assert_paths_agree(text, columnar=False)
+
+    @pytest.mark.parametrize("chunk_chars", [1 << 20, 40])
+    def test_mutations_match_row_parser(self, monkeypatch, chunk_chars):
+        monkeypatch.setattr(market_data, "_CHUNK_CHARS", chunk_chars)
+        valid = ohlcv_csv_from_returns([0.01 * ((i * 7) % 5 - 2) for i in range(29)]).encode()
+        rng = Xoshiro256PlusPlus(1879)
+        columnar = 0
+        for case in range(300):
+            text = mutate(valid, rng).decode("utf-8", "surrogateescape")
+            reference = _outcome(market_data._parse_rows, text)
+            assert _outcome(parse_ohlcv_csv, text) == reference, (case, text)
+            columnar += market_data._parse_columns(text, "X") is not None
+        assert 0 < columnar < 300
+
+    @pytest.mark.parametrize("order", ["oldest-first", "newest-first", "shuffled"])
+    def test_chunk_boundaries(self, monkeypatch, order):
+        monkeypatch.setattr(market_data, "_CHUNK_CHARS", 300)
+        returns = sample_laplace(1878, LaplaceParams(mu=0.0, scale=0.006), 1879)
+        lines = ohlcv_csv_from_returns(returns).splitlines()
+        if order == "newest-first":
+            lines[1:] = lines[:0:-1]
+        elif order == "shuffled":
+            rng = Xoshiro256PlusPlus(3)
+            lines[1:] = sorted(lines[1:], key=lambda _: rng.next_uint64())
+        for k in (100, 900, 1500):
+            lines[k] = lines[k].partition(",")[0] + ",null,null,null,null,null,null"
+        text = "\n".join(lines) + "\n"
+        series, warnings = parse_ohlcv_csv(text, "X")
+        assert (series, warnings) == market_data._parse_rows(text, "X")
+        assert warnings == [f"line {k + 1}: null field, row skipped" for k in (100, 900, 1500)]
+        assert len(series) == 1876
+        assert market_data._parse_columns(text, "X") is not None
+
+    @pytest.mark.parametrize("bad_cells", [",null,1,1,1,1,1", ",1,1,1,1,1,-1"])
+    def test_row_first_in_later_chunk(self, monkeypatch, bad_cells):
+        chunk_chars = 300
+        monkeypatch.setattr(market_data, "_CHUNK_CHARS", chunk_chars)
+        lines = ohlcv_csv_from_returns([0.001] * 30).splitlines()
+        text = "\n".join(lines) + "\n"
+        # the first chunk ends at the first newline chunk_chars past its start
+        first_end = text.find("\n", text.find("\n") + 1 + chunk_chars)
+        k = text.count("\n", 0, first_end + 1)
+        lines[k] = lines[k].partition(",")[0] + bad_cells
+        text = "\n".join(lines) + "\n"
+        _assert_paths_agree(text, columnar="null" in bad_cells)
+        if "null" in bad_cells:
+            assert parse_ohlcv_csv(text, "X")[1] == [f"line {k + 1}: null field, row skipped"]
+        else:
+            with pytest.raises(DataFormatError, match=f"^line {k + 1}: negative volume -1$"):
+                parse_ohlcv_csv(text, "X")
 
 
 class TestRoundTrip:
