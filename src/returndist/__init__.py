@@ -1,5 +1,7 @@
 """Daily return distribution analysis: normality tests and Normal-vs-Laplace fits."""
 
+from types import ModuleType as _ModuleType
+
 from .distfit import (
     LaplaceParams,
     NormalParams,
@@ -48,54 +50,8 @@ from .report import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "DataFormatError",
-    "DegenerateFitError",
-    "DegenerateSampleError",
-    "DomainError",
-    "EcdfCurve",
-    "EmptyInputError",
-    "FitScore",
-    "GofReport",
-    "HistogramData",
-    "InsufficientDataError",
-    "LaplaceParams",
-    "MomentsReport",
-    "NormalParams",
-    "PriceSeries",
-    "ReturnDistError",
-    "ReturnSeries",
-    "SWResult",
-    "Xoshiro256PlusPlus",
-    "analyze_returns",
-    "central_moment",
-    "compare_fits",
-    "ecdf",
-    "ecdf_overlay",
-    "excess_kurtosis",
-    "fit_laplace",
-    "fit_normal",
-    "histogram",
-    "ks_statistic",
-    "laplace_cdf",
-    "laplace_pdf",
-    "laplace_quantile",
-    "log_likelihood",
-    "median",
-    "moment_report",
-    "normal_cdf",
-    "normal_quantile",
-    "parse_ohlcv_csv",
-    "parse_return_lines",
-    "price_series_to_csv",
-    "report_from_dict",
-    "report_to_dict",
-    "returns_to_lines",
-    "sample_laplace",
-    "sample_normal",
-    "shapiro_wilk",
-    "simple_returns",
-    "skewness",
-    "sw_coefficients",
-]
+# every public name imported above, not the submodules bound alongside them
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

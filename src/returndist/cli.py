@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .distfit import LaplaceParams, NormalParams, sample_laplace, sample_normal
-from .errors import DataFormatError, InsufficientDataError
+from .errors import DataFormatError, DomainError, InsufficientDataError
 from .market_data import (
     PRICE_FIELDS,
     parse_ohlcv_csv,
@@ -145,17 +145,16 @@ def _run_sample(args: argparse.Namespace) -> int:
     if args.dist == "normal":
         if args.lam is not None:
             raise UsageError("--lambda applies to the laplace family only")
-        sigma = 1.0 if args.sigma is None else args.sigma
-        if sigma <= 0:
-            raise UsageError(f"--sigma must be > 0, got {sigma}")
-        values = sample_normal(args.n, NormalParams(mean=args.mu, sigma=sigma), args.seed)
+        family, draw, scale = NormalParams, sample_normal, args.sigma
     else:
         if args.sigma is not None:
             raise UsageError("--sigma applies to the normal family only")
-        scale = 1.0 if args.lam is None else args.lam
-        if scale <= 0:
-            raise UsageError(f"--lambda must be > 0, got {scale}")
-        values = sample_laplace(args.n, LaplaceParams(mu=args.mu, scale=scale), args.seed)
+        family, draw, scale = LaplaceParams, sample_laplace, args.lam
+    try:  # the params reject a non-finite location and a non-finite or non-positive scale
+        params = family(args.mu, 1.0 if scale is None else scale)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
+    values = draw(args.n, params, args.seed)
     Path(args.output).write_text(returns_to_lines(values), encoding="utf-8")
     return EXIT_OK
 

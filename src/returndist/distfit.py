@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateFitError, DomainError, InsufficientDataError
 
@@ -86,11 +86,17 @@ def laplace_pdf(x: float, p: LaplaceParams) -> float:
     return math.exp(-abs(x - p.mu) / p.scale) / (2.0 * p.scale)
 
 
+def _laplace_cdfs(xs: Iterable[float], p: LaplaceParams) -> list[float]:
+    """The Laplace CDF at each x; laplace_cdf is this formula at one point."""
+    mu, scale = p.mu, p.scale
+    return [
+        0.5 * math.exp(z) if (z := (x - mu) / scale) < 0.0 else 1.0 - 0.5 * math.exp(-z)
+        for x in xs
+    ]
+
+
 def laplace_cdf(x: float, p: LaplaceParams) -> float:
-    z = (x - p.mu) / p.scale
-    if z < 0.0:
-        return 0.5 * math.exp(z)
-    return 1.0 - 0.5 * math.exp(-z)
+    return _laplace_cdfs((x,), p)[0]
 
 
 def laplace_quantile(q: float, p: LaplaceParams) -> float:
@@ -104,9 +110,14 @@ def laplace_quantile(q: float, p: LaplaceParams) -> float:
     return p.mu
 
 
+def _normal_cdfs(xs: Iterable[float], p: NormalParams) -> list[float]:
+    """The Normal CDF at each x; normal_cdf is this formula at one point."""
+    mean, sigma = p.mean, p.sigma
+    return [0.5 * math.erfc(-((x - mean) / sigma) / _SQRT2) for x in xs]
+
+
 def normal_cdf(x: float, p: NormalParams) -> float:
-    z = (x - p.mean) / p.sigma
-    return 0.5 * math.erfc(-z / _SQRT2)
+    return _normal_cdfs((x,), p)[0]
 
 
 # Acklam's rational approximation to the standard-normal inverse CDF;

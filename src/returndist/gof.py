@@ -14,9 +14,10 @@ from itertools import repeat
 from typing import Callable, Sequence, Union
 
 from .distfit import (
-    _SQRT2,
     LaplaceParams,
     NormalParams,
+    _laplace_cdfs,
+    _normal_cdfs,
     fit_laplace,
     fit_normal,
 )
@@ -76,19 +77,6 @@ def ks_statistic(sample: Sequence[float], cdf: Callable[[float], float]) -> floa
     return _ks_distance(list(map(cdf, sorted(sample))))
 
 
-def _cdf_values(sorted_x: Sequence[float], params: Params) -> list[float]:
-    """normal_cdf or laplace_cdf at each x: the same float expressions,
-    without a call and attribute reads per point."""
-    if isinstance(params, NormalParams):
-        mean, sigma = params.mean, params.sigma
-        return [0.5 * math.erfc(-((x - mean) / sigma) / _SQRT2) for x in sorted_x]
-    mu, scale = params.mu, params.scale
-    return [
-        0.5 * math.exp(z) if (z := (x - mu) / scale) < 0.0 else 1.0 - 0.5 * math.exp(-z)
-        for x in sorted_x
-    ]
-
-
 def log_likelihood(sample: Sequence[float], params: Params) -> float:
     """Sum of log densities under the given fitted family."""
     if len(sample) == 0:
@@ -110,15 +98,26 @@ def _aic(ll: float) -> float:
     return 2.0 * MODEL_PARAMETER_COUNT - 2.0 * ll
 
 
-def compare_fits(sample: Sequence[float]) -> GofReport:
-    """Fit both families and score each with KS distance, LL, and AIC."""
+def _sorted_fits(sample: Sequence[float]) -> tuple[list[float], tuple]:
+    """The sample sorted once, and (family, params fitted to it, CDF list
+    kernel) for each family; the fits are order-invariant, and the median's
+    sort of sorted input is linear."""
     if len(sample) < 4:
         raise InsufficientDataError(f"fit comparison needs n >= 4, got {len(sample)}")
     sorted_x = sorted(sample)
+    return sorted_x, (
+        ("normal", fit_normal(sorted_x), _normal_cdfs),
+        ("laplace", fit_laplace(sorted_x), _laplace_cdfs),
+    )
+
+
+def compare_fits(sample: Sequence[float]) -> GofReport:
+    """Fit both families and score each with KS distance, LL, and AIC."""
+    sorted_x, fits = _sorted_fits(sample)
     scores = []
-    for family, params in (("normal", fit_normal(sample)), ("laplace", fit_laplace(sample))):
-        ll = log_likelihood(sample, params)
-        ks = _ks_distance(_cdf_values(sorted_x, params))
+    for family, params, cdfs in fits:
+        ll = log_likelihood(sorted_x, params)
+        ks = _ks_distance(cdfs(sorted_x, params))
         scores.append(FitScore(family, params, ks, ll, _aic(ll)))
     better = min(scores, key=lambda s: (s.aic, s.ks_distance))
     return GofReport(normal=scores[0], laplace=scores[1], better_fit=better.family)

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .distfit import normal_quantile
+from .distfit import _SQRT2, normal_quantile
 from .errors import DegenerateSampleError, InsufficientDataError
 
 ROYSTON_MAX_VALIDATED_N = 5000
-
-_SQRT2 = math.sqrt(2.0)
 
 # Polynomial coefficients (ascending powers), Royston 1992 / AS R94.
 _EXTREME_1 = (0.0, 0.221157, -0.147981, -2.071190, 4.434685, -2.706056)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
-from .distfit import LaplaceParams, NormalParams, fit_laplace, fit_normal, laplace_cdf, normal_cdf
+from .distfit import LaplaceParams, NormalParams
 from .errors import DomainError, InsufficientDataError
-from .gof import compare_fits, ecdf
+from .gof import _sorted_fits, compare_fits
 from .moments import moment_report
 from .normality import ROYSTON_MAX_VALIDATED_N, shapiro_wilk
 
@@ -43,11 +44,12 @@ class HistogramData:
 def analyze_returns(
     values: Sequence[float], symbol: str, warnings: Sequence[str] = ()
 ) -> AnalysisReport:
-    """Full pipeline on a return sample: moments, Shapiro-Wilk, and the
-    Normal-vs-Laplace fit comparison."""
-    moments = moment_report(values)
-    sw = shapiro_wilk(values)
-    gof = compare_fits(values)
+    """Moments, Shapiro-Wilk, and the Normal-vs-Laplace fit comparison, all
+    order-invariant, on one sorted copy: each kernel's own sort is then linear."""
+    ordered = sorted(values)
+    moments = moment_report(ordered)
+    sw = shapiro_wilk(ordered)
+    gof = compare_fits(ordered)
     all_warnings = list(warnings)
     if sw.large_n_warning:
         all_warnings.append(
@@ -157,15 +159,10 @@ def render_histogram_json(symbol: str, hist: HistogramData) -> str:
 def ecdf_overlay(values: Sequence[float]) -> list[tuple[float, float, float, float]]:
     """Rows (x, ecdf, normal_cdf, laplace_cdf) at each sorted value, with
     both families fitted to the sample."""
-    if len(values) < 4:
-        raise InsufficientDataError(f"fit comparison needs n >= 4, got {len(values)}")
-    normal_params = fit_normal(values)
-    laplace_params = fit_laplace(values)
-    curve = ecdf(values)
-    return [
-        (x, curve.evaluate(x), normal_cdf(x, normal_params), laplace_cdf(x, laplace_params))
-        for x in curve.sorted_x
-    ]
+    sorted_x, fits = _sorted_fits(values)
+    n = len(sorted_x)
+    ecdf_values = [bisect_right(sorted_x, x) / n for x in sorted_x]
+    return list(zip(sorted_x, ecdf_values, *(cdfs(sorted_x, params) for _, params, cdfs in fits)))
 
 
 def render_ecdf_csv(rows: Sequence[tuple[float, float, float, float]]) -> str:

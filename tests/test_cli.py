@@ -158,6 +158,11 @@ class TestSample:
             ["sample", "--dist", "laplace", "--n", "5", "--seed", "1", "--lambda", "-2", "--output", out],
             ["sample", "--dist", "cauchy", "--n", "5", "--seed", "1", "--output", out],
         ]
+        for dist, flag in (("normal", "--mu"), ("normal", "--sigma"),
+                           ("laplace", "--mu"), ("laplace", "--lambda")):
+            for value in ("nan", "inf", "-inf"):
+                cases.append(["sample", "--dist", dist, "--n", "5", "--seed", "1",
+                              f"{flag}={value}", "--output", out])
         for argv in cases:
             assert main(argv) == 1, argv
             capsys.readouterr()

@@ -17,7 +17,7 @@ from returndist.distfit import (
     sample_normal,
 )
 from returndist.errors import DegenerateFitError, InsufficientDataError
-from returndist import gof
+from returndist import distfit
 from returndist.gof import compare_fits, ecdf, ks_statistic, log_likelihood
 
 STD_LAPLACE = LaplaceParams(mu=0.0, scale=1.0)
@@ -130,9 +130,12 @@ class TestCompareFits:
             sample = [round(x, 1) for x in sample]  # ties
         report = compare_fits(sample)
         sorted_x = sorted(sample)
-        for score, cdf in ((report.normal, normal_cdf), (report.laplace, laplace_cdf)):
+        for score, cdf, cdfs in (
+            (report.normal, normal_cdf, distfit._normal_cdfs),
+            (report.laplace, laplace_cdf, distfit._laplace_cdfs),
+        ):
             per_point = [cdf(x, score.params) for x in sorted_x]
-            assert gof._cdf_values(sorted_x, score.params) == per_point
+            assert cdfs(sorted_x, score.params) == per_point
             expected = _ks_per_point(sample, lambda x: cdf(x, score.params))
             assert score.ks_distance == expected
             assert ks_statistic(sample, lambda x: cdf(x, score.params)) == expected

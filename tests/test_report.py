@@ -4,10 +4,20 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 
 import pytest
 
-from returndist.distfit import LaplaceParams, NormalParams, sample_laplace, sample_normal
+from returndist.distfit import (
+    LaplaceParams,
+    NormalParams,
+    fit_laplace,
+    fit_normal,
+    laplace_cdf,
+    normal_cdf,
+    sample_laplace,
+    sample_normal,
+)
 from returndist.errors import DomainError, InsufficientDataError
 from returndist.report import (
     analyze_returns,
@@ -28,6 +38,36 @@ STD_NORMAL = NormalParams(mean=0.0, sigma=1.0)
 def sample_report(seed: int = 3):
     values = sample_laplace(600, STD_LAPLACE, seed)
     return analyze_returns(values, "SYN", ["w1"])
+
+
+def seeded_samples(sizes):
+    """Normal and Laplace draws of each size, each also rounded to one
+    decimal with its last value set to its first, so it has ties."""
+    for n in sizes:
+        for seed, (draw, params) in enumerate(
+            ((sample_normal, STD_NORMAL), (sample_laplace, STD_LAPLACE))
+        ):
+            values = draw(n, params, 1000 * n + seed)
+            yield values
+            tied = [round(x, 1) for x in values]
+            tied[-1] = tied[0]
+            yield tied
+
+
+def _overlay_per_point(values):
+    """The overlay's definition, one point at a time: the reference for
+    ecdf_overlay."""
+    normal_params, laplace_params = fit_normal(values), fit_laplace(values)
+    sorted_x = sorted(values)
+    return [
+        (
+            x,
+            bisect_right(sorted_x, x) / len(sorted_x),
+            normal_cdf(x, normal_params),
+            laplace_cdf(x, laplace_params),
+        )
+        for x in sorted_x
+    ]
 
 
 class TestAnalyzeReturns:
@@ -139,7 +179,20 @@ class TestHistogram:
             histogram([], 5)
 
 
+class TestOrderInvariance:
+    @pytest.mark.parametrize("n", (4, 5, 37, 1879, 5001))
+    def test_report_independent_of_input_order(self, n):
+        for values in seeded_samples((n,)):
+            report = analyze_returns(values, "SYN")
+            assert analyze_returns(sorted(values), "SYN") == report
+            assert analyze_returns(values[::-1], "SYN") == report
+
+
 class TestEcdfOverlay:
+    def test_equals_per_point_reference(self):
+        for values in seeded_samples((4, 5, 37, 1879)):
+            assert ecdf_overlay(values) == _overlay_per_point(values)
+
     def test_row_contract(self):
         values = sample_laplace(400, STD_LAPLACE, 91)
         rows = ecdf_overlay(values)
