@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DegenerateFitError, DomainError, InsufficientDataError
+from .moments import _centred
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -70,16 +71,16 @@ def fit_laplace(sample: Sequence[float]) -> LaplaceParams:
     return LaplaceParams(mu=mu, scale=scale)
 
 
+def _fit_normal(centred: tuple) -> NormalParams:
+    _, n, mean, _, sum_squares = centred
+    if sum_squares == 0.0:
+        raise DegenerateFitError("all sample values identical; normal sigma is zero")
+    return NormalParams(mean=mean, sigma=math.sqrt(sum_squares / n))
+
+
 def fit_normal(sample: Sequence[float]) -> NormalParams:
     """ML fit: sample mean and population (biased) standard deviation."""
-    n = len(sample)
-    if n < 2:
-        raise InsufficientDataError(f"normal fit needs n >= 2, got {n}")
-    mean = math.fsum(sample) / n
-    variance = math.fsum((x - mean) ** 2 for x in sample) / n
-    if variance == 0.0:
-        raise DegenerateFitError("all sample values identical; normal sigma is zero")
-    return NormalParams(mean=mean, sigma=math.sqrt(variance))
+    return _fit_normal(_centred(sample, 2, "normal fit"))
 
 
 def laplace_pdf(x: float, p: LaplaceParams) -> float:
@@ -122,7 +123,7 @@ def normal_cdf(x: float, p: NormalParams) -> float:
 
 # Acklam's rational approximation to the standard-normal inverse CDF;
 # raw absolute error ~1.15e-9, pushed to machine precision by the
-# Halley refinement in normal_quantile.
+# Halley step in _lower_quantiles.
 _ACKLAM_A = (
     -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
     1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
@@ -142,30 +143,31 @@ _ACKLAM_D = (
 _ACKLAM_LOW = 0.02425
 
 
-def _acklam_lower(q: float) -> float:
+def _lower_quantiles(qs: Iterable[float]) -> list[float]:
+    """The standard-normal quantile at each q in (0, 0.5]; normal_quantile is
+    this at one point. Here x <= 0, so erfc(-x/sqrt(2)) carries full relative
+    precision and the Halley residual is not cancellation-limited."""
     a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if q < _ACKLAM_LOW:
-        r = math.sqrt(-2.0 * math.log(q))
-        return (
-            ((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]
-        ) / ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0)
-    u = q - 0.5
-    r = u * u
-    return (
-        (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u
-    ) / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-
-
-def _refined_lower_quantile(q: float) -> float:
-    # q in (0, 0.5]; here x <= 0, so erfc(-x/sqrt(2)) carries full relative
-    # precision and the Halley residual is not cancellation-limited.
-    x = _acklam_lower(q)
-    density = math.exp(-0.5 * x * x) / _SQRT2PI
-    if density > 0.0:
-        err = 0.5 * math.erfc(-x / _SQRT2) - q
-        u = err / density
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    out = []
+    for q in qs:
+        if q < _ACKLAM_LOW:
+            r = math.sqrt(-2.0 * math.log(q))
+            x = (
+                ((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]
+            ) / ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0)
+        else:
+            u = q - 0.5
+            r = u * u
+            x = (
+                (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u
+            ) / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+        density = math.exp(-0.5 * x * x) / _SQRT2PI
+        if density > 0.0:
+            err = 0.5 * math.erfc(-x / _SQRT2) - q
+            u = err / density
+            x -= u / (1.0 + 0.5 * x * u)
+        out.append(x)
+    return out
 
 
 def normal_quantile(q: float) -> float:
@@ -175,8 +177,8 @@ def normal_quantile(q: float) -> float:
     # Reflect the upper half: 1 - q is exact for q >= 0.5 (Sterbenz), and
     # antisymmetry then holds exactly.
     if q > 0.5:
-        return -_refined_lower_quantile(1.0 - q)
-    return _refined_lower_quantile(q)
+        return -_lower_quantiles((1.0 - q,))[0]
+    return _lower_quantiles((q,))[0]
 
 
 _MASK64 = (1 << 64) - 1

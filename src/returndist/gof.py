@@ -11,19 +11,18 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .distfit import (
     LaplaceParams,
     NormalParams,
+    _fit_normal,
     _laplace_cdfs,
     _normal_cdfs,
     fit_laplace,
-    fit_normal,
 )
 from .errors import DomainError, InsufficientDataError
-
-Params = Union[NormalParams, LaplaceParams]
+from .moments import _centred
 
 MODEL_PARAMETER_COUNT = 2  # location + scale, both families
 
@@ -41,7 +40,7 @@ class EcdfCurve:
 @dataclass(frozen=True)
 class FitScore:
     family: str
-    params: Params
+    params: NormalParams | LaplaceParams
     ks_distance: float
     log_likelihood: float
     aic: float
@@ -77,7 +76,7 @@ def ks_statistic(sample: Sequence[float], cdf: Callable[[float], float]) -> floa
     return _ks_distance(list(map(cdf, sorted(sample))))
 
 
-def log_likelihood(sample: Sequence[float], params: Params) -> float:
+def log_likelihood(sample: Sequence[float], params: NormalParams | LaplaceParams) -> float:
     """Sum of log densities under the given fitted family."""
     if len(sample) == 0:
         raise InsufficientDataError("log-likelihood needs a non-empty sample")
@@ -98,22 +97,17 @@ def _aic(ll: float) -> float:
     return 2.0 * MODEL_PARAMETER_COUNT - 2.0 * ll
 
 
-def _sorted_fits(sample: Sequence[float]) -> tuple[list[float], tuple]:
-    """The sample sorted once, and (family, params fitted to it, CDF list
-    kernel) for each family; the fits are order-invariant, and the median's
-    sort of sorted input is linear."""
-    if len(sample) < 4:
-        raise InsufficientDataError(f"fit comparison needs n >= 4, got {len(sample)}")
-    sorted_x = sorted(sample)
+def _fits(centred: tuple) -> tuple[Sequence[float], tuple]:
+    """The ascending sample, and (family, params, CDF list kernel) for each family fitted to it."""
+    sorted_x = centred[0]
     return sorted_x, (
-        ("normal", fit_normal(sorted_x), _normal_cdfs),
+        ("normal", _fit_normal(centred), _normal_cdfs),
         ("laplace", fit_laplace(sorted_x), _laplace_cdfs),
     )
 
 
-def compare_fits(sample: Sequence[float]) -> GofReport:
-    """Fit both families and score each with KS distance, LL, and AIC."""
-    sorted_x, fits = _sorted_fits(sample)
+def _compare_fits(centred: tuple) -> GofReport:
+    sorted_x, fits = _fits(centred)
     scores = []
     for family, params, cdfs in fits:
         ll = log_likelihood(sorted_x, params)
@@ -121,3 +115,8 @@ def compare_fits(sample: Sequence[float]) -> GofReport:
         scores.append(FitScore(family, params, ks, ll, _aic(ll)))
     better = min(scores, key=lambda s: (s.aic, s.ks_distance))
     return GofReport(normal=scores[0], laplace=scores[1], better_fit=better.family)
+
+
+def compare_fits(sample: Sequence[float]) -> GofReport:
+    """Fit both families and score each with KS distance, LL, and AIC."""
+    return _compare_fits(_centred(sorted(sample), 4, "fit comparison"))

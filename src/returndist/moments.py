@@ -1,8 +1,9 @@
 """Descriptive moment statistics: skewness and excess kurtosis.
 
-Population (biased) estimators throughout, computed two-pass: mean
-first, then centered powers. Kurtosis is reported in Fisher's excess
-form, zero in expectation for normal data.
+Population (biased) estimators throughout, computed two-pass. The first
+pass, `_centred` (mean, deviations, sum of squares), is taken once per
+analysis and read by the moments, Shapiro-Wilk and the Normal fit.
+Kurtosis is reported in Fisher's excess form, zero in expectation for normal data.
 """
 
 from __future__ import annotations
@@ -27,24 +28,27 @@ class MomentsReport:
     excess_kurtosis: float
 
 
-def central_moment(sample: Sequence[float], k: int) -> float:
-    """k-th central sample moment, (1/n) * sum((x - mean)^k)."""
-    if not 1 <= k <= MAX_MOMENT_ORDER:
-        raise DomainError(f"moment order must be in 1..{MAX_MOMENT_ORDER}, got {k}")
-    n = len(sample)
-    if n == 0:
-        raise InsufficientDataError("central_moment needs a non-empty sample")
-    mean = math.fsum(sample) / n
-    return math.fsum((x - mean) ** k for x in sample) / n
-
-
-def _moments(sample: Sequence[float], min_n: int, what: str) -> MomentsReport:
+def _centred(sample: Sequence[float], min_n: int, what: str) -> tuple:
+    """(sample, n, fsum mean, deviations x - mean in sample order, fsum(d*d))."""
     n = len(sample)
     if n < min_n:
         raise InsufficientDataError(f"{what} needs n >= {min_n}, got {n}")
     mean = math.fsum(sample) / n
     deviations = [x - mean for x in sample]
-    m2 = math.fsum(d * d for d in deviations) / n
+    return sample, n, mean, deviations, math.fsum(d * d for d in deviations)
+
+
+def central_moment(sample: Sequence[float], k: int) -> float:
+    """k-th central sample moment, (1/n) * sum((x - mean)^k)."""
+    if not 1 <= k <= MAX_MOMENT_ORDER:
+        raise DomainError(f"moment order must be in 1..{MAX_MOMENT_ORDER}, got {k}")
+    _, n, _, deviations, _ = _centred(sample, 1, "central moment")
+    return math.fsum(d**k for d in deviations) / n
+
+
+def _moments(centred: tuple) -> MomentsReport:
+    _, n, mean, deviations, sum_squares = centred
+    m2 = sum_squares / n
     m3 = math.fsum(d * d * d for d in deviations) / n
     m4 = math.fsum(d * d * d * d for d in deviations) / n
     if m2 == 0.0:
@@ -62,14 +66,14 @@ def _moments(sample: Sequence[float], min_n: int, what: str) -> MomentsReport:
 
 def skewness(sample: Sequence[float]) -> float:
     """Standardized third central moment, m3 / m2^(3/2)."""
-    return _moments(sample, 3, "skewness").skew
+    return _moments(_centred(sample, 3, "skewness")).skew
 
 
 def excess_kurtosis(sample: Sequence[float]) -> float:
     """Fisher excess kurtosis, m4 / m2^2 - 3."""
-    return _moments(sample, 4, "excess kurtosis").excess_kurtosis
+    return _moments(_centred(sample, 4, "excess kurtosis")).excess_kurtosis
 
 
 def moment_report(sample: Sequence[float]) -> MomentsReport:
     """Mean, central moments up to order 4, skew, and excess kurtosis."""
-    return _moments(sample, 4, "moment report")
+    return _moments(_centred(sample, 4, "moment report"))

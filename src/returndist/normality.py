@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .distfit import _SQRT2, normal_quantile
+from .distfit import _SQRT2, _lower_quantiles
 from .errors import DegenerateSampleError, InsufficientDataError
+from .moments import _centred
 
 ROYSTON_MAX_VALIDATED_N = 5000
 
@@ -57,30 +58,21 @@ def _coefficients(n: int) -> tuple[float, ...]:
 
     half = n // 2
     # Blom scores for the lower half; all negative.
-    scores = [normal_quantile((i - 0.375) / (n + 0.25)) for i in range(1, half + 1)]
+    scores = _lower_quantiles((i - 0.375) / (n + 0.25) for i in range(1, half + 1))
     norm_sq = 2.0 * math.fsum(v * v for v in scores)
     norm = math.sqrt(norm_sq)
     u = 1.0 / math.sqrt(n)
 
-    a = [0.0] * n
-    a1 = _poly(_EXTREME_1, u) - scores[0] / norm
-    if n > 5:
-        a2 = _poly(_EXTREME_2, u) - scores[1] / norm
-        rescale_sq = (norm_sq - 2.0 * scores[0] ** 2 - 2.0 * scores[1] ** 2) / (
-            1.0 - 2.0 * a1 * a1 - 2.0 * a2 * a2
-        )
-        a[1] = a2
-        interior_start = 2
-    else:
-        rescale_sq = (norm_sq - 2.0 * scores[0] ** 2) / (1.0 - 2.0 * a1 * a1)
-        interior_start = 1
-    a[0] = a1
-    rescale = math.sqrt(rescale_sq)
-    for i in range(interior_start, half):
-        a[i] = -scores[i] / rescale
-    for i in range(half):
-        a[n - 1 - i] = -a[i]
-    return tuple(a)
+    # Royston's polynomials set 1 (n <= 5) or 2 extreme weights; the rest rescale to unit norm
+    ends = 2 if n > 5 else 1
+    lower = [_poly(c, u) - s / norm for c, s in zip((_EXTREME_1, _EXTREME_2)[:ends], scores)]
+    rescale_num, rescale_den = norm_sq, 1.0
+    for s, a in zip(scores, lower):
+        rescale_num -= 2.0 * s**2
+        rescale_den -= 2.0 * a * a
+    rescale = math.sqrt(rescale_num / rescale_den)
+    lower += [-s / rescale for s in scores[ends:]]
+    return (*lower, *[0.0] * (n % 2), *[-a for a in reversed(lower)])
 
 
 def sw_coefficients(n: int) -> tuple[float, ...]:
@@ -112,19 +104,13 @@ def _p_value(n: int, w: float) -> float:
     return 0.5 * math.erfc(z / _SQRT2)
 
 
-def shapiro_wilk(sample: Sequence[float]) -> SWResult:
-    """W statistic and p-value; small p rejects normality."""
-    n = len(sample)
-    if n < 3:
-        raise InsufficientDataError(f"shapiro-wilk needs n >= 3, got {n}")
-    ordered = sorted(sample)
-    mean = math.fsum(ordered) / n
-    centered = [x - mean for x in ordered]
-    sum_squares = math.fsum(v * v for v in centered)
+def _shapiro_wilk(centred: tuple) -> SWResult:
+    """W and p from a centred sample whose values are in ascending order."""
+    _, n, _, deviations, sum_squares = centred
     if sum_squares == 0.0:
         raise DegenerateSampleError("shapiro-wilk undefined for a zero-variance sample")
     weights = sw_coefficients(n)
-    numerator_root = math.fsum(w * v for w, v in zip(weights, centered))
+    numerator_root = math.fsum(w * v for w, v in zip(weights, deviations))
     w_stat = min(numerator_root * numerator_root / sum_squares, 1.0)
     return SWResult(
         n=n,
@@ -132,3 +118,8 @@ def shapiro_wilk(sample: Sequence[float]) -> SWResult:
         p_value=_p_value(n, w_stat),
         large_n_warning=n > ROYSTON_MAX_VALIDATED_N,
     )
+
+
+def shapiro_wilk(sample: Sequence[float]) -> SWResult:
+    """W statistic and p-value; small p rejects normality."""
+    return _shapiro_wilk(_centred(sorted(sample), 3, "shapiro-wilk"))

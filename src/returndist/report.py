@@ -9,9 +9,9 @@ from typing import Sequence
 
 from .distfit import LaplaceParams, NormalParams
 from .errors import DomainError, InsufficientDataError
-from .gof import _sorted_fits, compare_fits
-from .moments import moment_report
-from .normality import ROYSTON_MAX_VALIDATED_N, shapiro_wilk
+from .gof import _compare_fits, _fits
+from .moments import _centred, _moments
+from .normality import ROYSTON_MAX_VALIDATED_N, _shapiro_wilk
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,11 @@ def analyze_returns(
     values: Sequence[float], symbol: str, warnings: Sequence[str] = ()
 ) -> AnalysisReport:
     """Moments, Shapiro-Wilk, and the Normal-vs-Laplace fit comparison, all
-    order-invariant, on one sorted copy: each kernel's own sort is then linear."""
-    ordered = sorted(values)
-    moments = moment_report(ordered)
-    sw = shapiro_wilk(ordered)
-    gof = compare_fits(ordered)
+    order-invariant, from one sorted and centred copy of the values."""
+    centred = _centred(sorted(values), 4, "moment report")
+    moments = _moments(centred)
+    sw = _shapiro_wilk(centred)
+    gof = _compare_fits(centred)
     all_warnings = list(warnings)
     if sw.large_n_warning:
         all_warnings.append(
@@ -92,7 +92,7 @@ def report_from_dict(payload: dict) -> AnalysisReport:
 
 
 def render_report_json(report: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    return json.dumps(report_to_dict(report), indent=2, allow_nan=False)
 
 
 def _fmt6(value: float) -> str:
@@ -110,7 +110,9 @@ def render_report_markdown(report: AnalysisReport) -> str:
                 for param in fields(value)
             )
         elif field.name != "warnings":
-            rows.append((field.name, _fmt6(value) if isinstance(value, float) else str(value)))
+            # a bare | in a cell would start a new column
+            cell = _fmt6(value) if isinstance(value, float) else str(value).replace("|", r"\|")
+            rows.append((field.name, cell))
     key_width = max(len(k) for k, _ in rows)
     value_width = max(max(len(v) for _, v in rows), len("value"))
     lines = [
@@ -153,13 +155,14 @@ def histogram(values: Sequence[float], bins: int) -> HistogramData:
 
 
 def render_histogram_json(symbol: str, hist: HistogramData) -> str:
-    return json.dumps({"symbol": symbol, "n": sum(hist.counts), **asdict(hist)}, indent=2)
+    payload = {"symbol": symbol, "n": sum(hist.counts), **asdict(hist)}
+    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def ecdf_overlay(values: Sequence[float]) -> list[tuple[float, float, float, float]]:
     """Rows (x, ecdf, normal_cdf, laplace_cdf) at each sorted value, with
     both families fitted to the sample."""
-    sorted_x, fits = _sorted_fits(values)
+    sorted_x, fits = _fits(_centred(sorted(values), 4, "fit comparison"))
     n = len(sorted_x)
     ecdf_values = [bisect_right(sorted_x, x) / n for x in sorted_x]
     return list(zip(sorted_x, ecdf_values, *(cdfs(sorted_x, params) for _, params, cdfs in fits)))

@@ -295,6 +295,8 @@ _FAILING_INPUTS = {
     ),
     # over csv's 131 072-character field limit
     "wide.csv": _HEADER + "\n2012-01-03,1,1,1,1,1," + "9" * 140_000 + "\n",
+    # the bin width is subnormal, so every density overflows to inf
+    "subnormal.txt": "1e-320\n2e-320\n3e-320\n",
 }
 
 
@@ -308,6 +310,7 @@ _FAILING_INPUTS = {
         ("jump.csv", "ecdf", 2),
         ("jump.csv", "hist", 2),
         ("wide.csv", "analyze", 2),
+        ("subnormal.txt", "hist", 3),
     ],
 )
 def test_failure_is_one_line(name, command, code, tmp_path, capsys):
@@ -323,6 +326,7 @@ def test_failure_is_one_line(name, command, code, tmp_path, capsys):
     assert err.startswith("returndist: error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _reject_constant(name: str) -> None:

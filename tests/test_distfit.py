@@ -10,6 +10,11 @@ from returndist.distfit import (
     LaplaceParams,
     NormalParams,
     Xoshiro256PlusPlus,
+    _ACKLAM_A,
+    _ACKLAM_B,
+    _ACKLAM_C,
+    _ACKLAM_D,
+    _lower_quantiles,
     fit_laplace,
     fit_normal,
     laplace_cdf,
@@ -224,6 +229,44 @@ class TestNormalFunctions:
         for q in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(DomainError):
                 normal_quantile(q)
+
+
+def _reference_lower_quantile(q: float) -> float:
+    """The lower-half quantile as it was written point by point before the
+    list kernel: Acklam's approximation, then one Halley step."""
+    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
+    if q < 0.02425:
+        r = math.sqrt(-2.0 * math.log(q))
+        x = (
+            ((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]
+        ) / ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0)
+    else:
+        u = q - 0.5
+        r = u * u
+        x = (
+            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u
+        ) / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    density = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    if density > 0.0:
+        err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
+        u = err / density
+        x -= u / (1.0 + 0.5 * x * u)
+    return x
+
+
+class TestQuantileKernel:
+    # both Acklam branches, each side of the 0.02425 switch, the deep tail
+    # and the centre
+    LEVELS = [
+        1e-300, 1e-100, 1e-10, 0.001, 0.02,
+        math.nextafter(0.02425, 0.0), 0.02425, math.nextafter(0.02425, 1.0),
+        0.1, 0.3, 0.4999, math.nextafter(0.5, 0.0), 0.5,
+    ] + [k / 2003.0 for k in range(1, 1002)]
+
+    def test_list_kernel_equals_per_point(self):
+        per_point = [normal_quantile(q) for q in self.LEVELS]
+        assert _lower_quantiles(self.LEVELS) == per_point
+        assert per_point == [_reference_lower_quantile(q) for q in self.LEVELS]
 
 
 class TestRng:

@@ -10,9 +10,15 @@ import math
 
 import pytest
 
-from returndist.distfit import LaplaceParams, NormalParams, sample_laplace, sample_normal
+from returndist.distfit import (
+    LaplaceParams,
+    NormalParams,
+    normal_quantile,
+    sample_laplace,
+    sample_normal,
+)
 from returndist.errors import DegenerateSampleError, InsufficientDataError
-from returndist.normality import shapiro_wilk, sw_coefficients
+from returndist.normality import _EXTREME_1, _EXTREME_2, _poly, shapiro_wilk, sw_coefficients
 from sw_cases import SW_CASES, build_dataset
 
 # Frozen from tests/regen_oracle_values.py (scipy 1.15.3).
@@ -51,6 +57,41 @@ SW_SMALL_REFERENCE = {
 }
 
 
+def _reference_coefficients(n: int) -> tuple[float, ...]:
+    """The weight vector built as it was before the half-vector
+    construction: a full-length list, per-point Blom scores, and a mirror
+    loop."""
+    if n == 3:
+        root_half = math.sqrt(0.5)
+        return (root_half, 0.0, -root_half)
+
+    half = n // 2
+    scores = [normal_quantile((i - 0.375) / (n + 0.25)) for i in range(1, half + 1)]
+    norm_sq = 2.0 * math.fsum(v * v for v in scores)
+    norm = math.sqrt(norm_sq)
+    u = 1.0 / math.sqrt(n)
+
+    a = [0.0] * n
+    a1 = _poly(_EXTREME_1, u) - scores[0] / norm
+    if n > 5:
+        a2 = _poly(_EXTREME_2, u) - scores[1] / norm
+        rescale_sq = (norm_sq - 2.0 * scores[0] ** 2 - 2.0 * scores[1] ** 2) / (
+            1.0 - 2.0 * a1 * a1 - 2.0 * a2 * a2
+        )
+        a[1] = a2
+        interior_start = 2
+    else:
+        rescale_sq = (norm_sq - 2.0 * scores[0] ** 2) / (1.0 - 2.0 * a1 * a1)
+        interior_start = 1
+    a[0] = a1
+    rescale = math.sqrt(rescale_sq)
+    for i in range(interior_start, half):
+        a[i] = -scores[i] / rescale
+    for i in range(half):
+        a[n - 1 - i] = -a[i]
+    return tuple(a)
+
+
 class TestCoefficients:
     def test_n3_exact(self):
         a = sw_coefficients(3)
@@ -75,6 +116,10 @@ class TestCoefficients:
     def test_too_small(self):
         with pytest.raises(InsufficientDataError):
             sw_coefficients(2)
+
+    def test_equal_to_reference_construction(self):
+        for n in [*range(3, 601), 1879, 5000, 5001, 20000]:
+            assert sw_coefficients(n) == _reference_coefficients(n), n
 
 
 class TestStatistic:

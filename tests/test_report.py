@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import re
 from bisect import bisect_right
 
 import pytest
@@ -18,7 +20,15 @@ from returndist.distfit import (
     sample_laplace,
     sample_normal,
 )
-from returndist.errors import DomainError, InsufficientDataError
+from returndist.errors import (
+    DegenerateFitError,
+    DegenerateSampleError,
+    DomainError,
+    InsufficientDataError,
+)
+from returndist.gof import compare_fits
+from returndist.moments import moment_report
+from returndist.normality import shapiro_wilk
 from returndist.report import (
     analyze_returns,
     ecdf_overlay,
@@ -126,6 +136,21 @@ class TestAnalyzeReturns:
     def test_markdown_lists_warnings(self):
         assert "- warning: w1" in render_report_markdown(sample_report())
 
+    def test_markdown_escapes_pipes(self):
+        values = sample_laplace(50, STD_LAPLACE, 4)
+        for symbol in ("a|b", "|", "a||b", "a\\|b"):
+            markdown = render_report_markdown(analyze_returns(values, symbol))
+            table = [line for line in markdown.splitlines() if line.startswith("|")]
+            assert len(table) == 19
+            for line in table:
+                assert len(re.findall(r"(?<!\\)\|", line)) == 3, line
+            assert symbol.replace("|", r"\|") in table[2]
+
+    def test_json_rejects_non_finite(self):
+        report = dataclasses.replace(sample_report(), skew=math.inf)
+        with pytest.raises(ValueError):
+            render_report_json(report)
+
 
 class TestHistogram:
     def test_counts_partition_sample(self):
@@ -186,6 +211,77 @@ class TestOrderInvariance:
             report = analyze_returns(values, "SYN")
             assert analyze_returns(sorted(values), "SYN") == report
             assert analyze_returns(values[::-1], "SYN") == report
+
+
+class TestCentredSample:
+    """analyze_returns sorts and centres the sample once and hands that to
+    the moments, Shapiro-Wilk and fit-comparison kernels."""
+
+    def test_fields_equal_standalone_functions(self):
+        for values in seeded_samples((4, 5, 37, 1879, 5001)):
+            report = analyze_returns(values, "SYN")
+            moments, sw, gof = moment_report(values), shapiro_wilk(values), compare_fits(values)
+            assert (report.n, report.skew, report.excess_kurtosis) == (
+                moments.n, moments.skew, moments.excess_kurtosis
+            )
+            assert (report.shapiro_w, report.shapiro_p) == (sw.w, sw.p_value)
+            assert (report.normal_fit, report.laplace_fit) == (gof.normal.params, gof.laplace.params)
+            assert (report.ks_normal, report.ks_laplace) == (
+                gof.normal.ks_distance, gof.laplace.ks_distance
+            )
+            assert (report.log_lik_normal, report.log_lik_laplace) == (
+                gof.normal.log_likelihood, gof.laplace.log_likelihood
+            )
+            assert (report.aic_normal, report.aic_laplace, report.better_fit) == (
+                gof.normal.aic, gof.laplace.aic, gof.better_fit
+            )
+            assert fit_normal(values) == NormalParams(moments.mean, math.sqrt(moments.m2))
+
+    def test_one_mean_and_two_sum_of_squares_passes(self, monkeypatch):
+        # the normal log-likelihood keeps its own pass around the given params
+        values = sample_laplace(50, STD_LAPLACE, 5)
+        mean = math.fsum(values) / len(values)
+        squares = (
+            sorted((x - mean) * (x - mean) for x in values),
+            sorted((x - mean) ** 2 for x in values),
+        )
+        fsum, summed = math.fsum, []
+
+        def recording_fsum(terms):
+            terms = list(terms)
+            summed.append(sorted(terms))
+            return fsum(terms)
+
+        monkeypatch.setattr(math, "fsum", recording_fsum)
+        analyze_returns(values, "SYN")
+        assert summed.count(sorted(values)) == 1
+        assert sum(terms in squares for terms in summed) == 2
+
+    @pytest.mark.parametrize(
+        ("call", "values", "error", "message"),
+        [
+            (analyze_returns, [1.0, 2.0, 3.0], InsufficientDataError,
+             "moment report needs n >= 4, got 3"),
+            (analyze_returns, [1.0] * 5, DegenerateSampleError,
+             "moments undefined for a zero-variance sample"),
+            (ecdf_overlay, [1.0, 2.0, 3.0], InsufficientDataError,
+             "fit comparison needs n >= 4, got 3"),
+            (ecdf_overlay, [1.0] * 5, DegenerateFitError,
+             "all sample values identical; normal sigma is zero"),
+            (shapiro_wilk, [1.0, 2.0], InsufficientDataError, "shapiro-wilk needs n >= 3, got 2"),
+            (shapiro_wilk, [1.0] * 3, DegenerateSampleError,
+             "shapiro-wilk undefined for a zero-variance sample"),
+            (fit_normal, [1.0], InsufficientDataError, "normal fit needs n >= 2, got 1"),
+            (compare_fits, [1.0, 2.0, 3.0], InsufficientDataError,
+             "fit comparison needs n >= 4, got 3"),
+        ],
+    )
+    def test_error_type_and_message(self, call, values, error, message):
+        args = (values, "SYN") if call is analyze_returns else (values,)
+        with pytest.raises(Exception) as caught:
+            call(*args)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 class TestEcdfOverlay:
