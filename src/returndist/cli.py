@@ -7,9 +7,9 @@ Exit codes: 0 success, 1 usage error, 2 data/format error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
 from .distfit import LaplaceParams, NormalParams, sample_laplace, sample_normal
 from .errors import DataFormatError, DomainError, InsufficientDataError
@@ -107,17 +107,26 @@ def build_parser() -> _Parser:
 
 
 def _load_returns(args: argparse.Namespace) -> tuple[str, Sequence[float], list[str]]:
-    path = Path(args.input)
+    path = args.input
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
-    symbol = path.stem
+    # the name less its last suffix, as pathlib's stem: "a.tar.gz" -> "a.tar"; "foo." and ".rc" kept
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    symbol = name[:dot] if 0 < dot < len(name) - 1 else name
     if args.returns_only:
         return symbol, parse_return_lines(text), []
     series, warnings = parse_ohlcv_csv(text, symbol)
     returns = simple_returns(series, args.price_column)
     return symbol, returns.values, warnings
+
+
+def _write_output(args: argparse.Namespace, text: str) -> None:
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _load_and_warn(args: argparse.Namespace) -> tuple[str, Sequence[float]]:
@@ -155,7 +164,7 @@ def _run_sample(args: argparse.Namespace) -> int:
     except DomainError as exc:
         raise UsageError(str(exc)) from None
     values = draw(args.n, params, args.seed)
-    Path(args.output).write_text(returns_to_lines(values), encoding="utf-8")
+    _write_output(args, returns_to_lines(values))
     return EXIT_OK
 
 
@@ -166,7 +175,7 @@ def _run_ecdf(args: argparse.Namespace) -> int:
         rendered = render_ecdf_csv(rows)
     else:
         rendered = render_ecdf_svg(rows, symbol)
-    Path(args.output).write_text(rendered, encoding="utf-8")
+    _write_output(args, rendered)
     return EXIT_OK
 
 
@@ -175,7 +184,7 @@ def _run_hist(args: argparse.Namespace) -> int:
         raise UsageError(f"--bins must be >= 1, got {args.bins}")
     symbol, values = _load_and_warn(args)
     hist = histogram(values, args.bins)
-    Path(args.output).write_text(render_histogram_json(symbol, hist) + "\n", encoding="utf-8")
+    _write_output(args, render_histogram_json(symbol, hist) + "\n")
     return EXIT_OK
 
 

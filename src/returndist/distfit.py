@@ -11,9 +11,9 @@ sharpened by one Halley step against the erfc-based CDF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
+from ._record import Record
 from .errors import DegenerateFitError, DomainError, InsufficientDataError
 from .moments import _centred
 
@@ -21,28 +21,26 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class LaplaceParams:
+class LaplaceParams(Record):
     """Location/scale pair for the double-exponential family."""
 
     mu: float
     scale: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not math.isfinite(self.mu):
             raise DomainError(f"laplace mu must be finite, got {self.mu}")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise DomainError(f"laplace scale must be finite and > 0, got {self.scale}")
 
 
-@dataclass(frozen=True)
-class NormalParams:
+class NormalParams(Record):
     """Mean/standard-deviation pair for the normal family."""
 
     mean: float
     sigma: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not math.isfinite(self.mean):
             raise DomainError(f"normal mean must be finite, got {self.mean}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):

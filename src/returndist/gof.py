@@ -9,10 +9,10 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from itertools import repeat
-from typing import Callable, Sequence
 
+from ._record import Record
 from .distfit import (
     LaplaceParams,
     NormalParams,
@@ -27,8 +27,7 @@ from .moments import _centred
 MODEL_PARAMETER_COUNT = 2  # location + scale, both families
 
 
-@dataclass(frozen=True)
-class EcdfCurve:
+class EcdfCurve(Record):
     """Right-continuous step function (#points <= x) / n."""
 
     sorted_x: tuple[float, ...]
@@ -37,8 +36,7 @@ class EcdfCurve:
         return bisect.bisect_right(self.sorted_x, x) / len(self.sorted_x)
 
 
-@dataclass(frozen=True)
-class FitScore:
+class FitScore(Record):
     family: str
     params: NormalParams | LaplaceParams
     ks_distance: float
@@ -46,8 +44,7 @@ class FitScore:
     aic: float
 
 
-@dataclass(frozen=True)
-class GofReport:
+class GofReport(Record):
     normal: FitScore
     laplace: FitScore
     better_fit: str

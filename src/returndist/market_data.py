@@ -6,11 +6,11 @@ import csv
 import io
 import math
 import operator
-from dataclasses import dataclass, fields
+from collections.abc import Iterator, Sequence
 from datetime import date
 from itertools import compress, islice, repeat
-from typing import Iterator, Sequence
 
+from ._record import Record
 from .errors import (
     DataFormatError,
     DomainError,
@@ -29,8 +29,7 @@ _PRICE_NAMES = tuple(name.lower() for name in OHLCV_HEADER[1:6])
 _CHUNK_CHARS = 1 << 20
 
 
-@dataclass(frozen=True)
-class PriceSeries:
+class PriceSeries(Record):
     """One tuple per OHLCV column, each in ascending date order."""
 
     symbol: str
@@ -46,8 +45,7 @@ class PriceSeries:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
+class ReturnSeries(Record):
     """Simple daily returns, dated at the later of each price pair."""
 
     symbol: str
@@ -172,19 +170,22 @@ def _parse_columns(text: str, symbol: str) -> tuple[PriceSeries, list[str]] | No
         cells = ",".join(filter(None, lines)).split(",")
         if cells == [""]:  # every line of the chunk was a null row
             continue
+        # each chunk's values are checked as they are converted, so a bad cell
+        # stops the pass at its chunk
         try:
             dates.extend(map(date.fromisoformat, cells[0::7]))
             for k, column in enumerate(prices, start=1):
-                column.extend(map(float, cells[k::7]))
-            volume.extend(map(int, cells[6::7]))
+                values = list(map(float, cells[k::7]))
+                if not all(map(math.isfinite, values)) or min(values) <= 0.0:
+                    return None
+                column += values
+            values = list(map(int, cells[6::7]))
         except ValueError:
             return None
-    valid = (
-        dates
-        and all(all(map(math.isfinite, column)) and min(column) > 0.0 for column in prices)
-        and min(volume) >= 0
-    )
-    if not valid:
+        if min(values) < 0:
+            return None
+        volume += values
+    if not dates:
         return None
     if not all(map(operator.lt, dates, islice(dates, 1, None))):
         # rows out of date order (a newest-first export) are sorted here, as _parse_rows does
@@ -214,7 +215,7 @@ def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
 def price_series_to_csv(series: PriceSeries) -> str:
     """Serialize a PriceSeries back to Yahoo CSV form (parse round-trips)."""
     # str() of a date is its ISO form, and of a float its round-tripping repr
-    rows = zip(*(getattr(series, column.name) for column in fields(series)[1:]))
+    rows = zip(*(getattr(series, column) for column in series._fields[1:]))
     lines = [",".join(OHLCV_HEADER), *(",".join(map(str, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 

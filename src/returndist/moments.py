@@ -9,16 +9,15 @@ Kurtosis is reported in Fisher's excess form, zero in expectation for normal dat
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._record import Record
 from .errors import DegenerateSampleError, DomainError, InsufficientDataError
 
 MAX_MOMENT_ORDER = 8
 
 
-@dataclass(frozen=True)
-class MomentsReport:
+class MomentsReport(Record):
     n: int
     mean: float
     m2: float

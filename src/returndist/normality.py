@@ -14,10 +14,12 @@ the result is still computed but flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
+from itertools import chain
+from operator import mul, neg
 
+from ._record import Record
 from .distfit import _SQRT2, _lower_quantiles
 from .errors import DegenerateSampleError, InsufficientDataError
 from .moments import _centred
@@ -35,8 +37,7 @@ _SMALL_N_GAMMA = (-2.273, 0.459)
 _TINY_P = 1e-19
 
 
-@dataclass(frozen=True)
-class SWResult:
+class SWResult(Record):
     n: int
     w: float
     p_value: float
@@ -52,9 +53,10 @@ def _poly(coefficients: tuple[float, ...], x: float) -> float:
 
 @lru_cache(maxsize=128)
 def _coefficients(n: int) -> tuple[float, ...]:
+    """The n // 2 positive weights of the lower order statistics; the
+    upper half mirrors them with opposite sign, and an odd n's middle one is 0."""
     if n == 3:
-        root_half = math.sqrt(0.5)
-        return (root_half, 0.0, -root_half)
+        return (math.sqrt(0.5),)
 
     half = n // 2
     # Blom scores for the lower half; all negative.
@@ -72,7 +74,7 @@ def _coefficients(n: int) -> tuple[float, ...]:
         rescale_den -= 2.0 * a * a
     rescale = math.sqrt(rescale_num / rescale_den)
     lower += [-s / rescale for s in scores[ends:]]
-    return (*lower, *[0.0] * (n % 2), *[-a for a in reversed(lower)])
+    return tuple(lower)
 
 
 def sw_coefficients(n: int) -> tuple[float, ...]:
@@ -80,7 +82,8 @@ def sw_coefficients(n: int) -> tuple[float, ...]:
     positive weights on the lower order statistics."""
     if n < 3:
         raise InsufficientDataError(f"shapiro-wilk needs n >= 3, got {n}")
-    return _coefficients(n)
+    lower = _coefficients(n)
+    return (*lower, *[0.0] * (n % 2), *[-a for a in reversed(lower)])
 
 
 def _p_value(n: int, w: float) -> float:
@@ -109,8 +112,12 @@ def _shapiro_wilk(centred: tuple) -> SWResult:
     _, n, _, deviations, sum_squares = centred
     if sum_squares == 0.0:
         raise DegenerateSampleError("shapiro-wilk undefined for a zero-variance sample")
-    weights = sw_coefficients(n)
-    numerator_root = math.fsum(w * v for w, v in zip(weights, deviations))
+    lower = _coefficients(n)
+    # the terms a*d of the full weight vector: -(a*d) == a*(-d) exactly, and the
+    # middle weight of an odd n adds only a signed zero, which the square removes
+    numerator_root = math.fsum(
+        chain(map(mul, lower, deviations), map(mul, lower, map(neg, reversed(deviations))))
+    )
     w_stat = min(numerator_root * numerator_root / sum_squares, 1.0)
     return SWResult(
         n=n,

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from collections.abc import Sequence
+from itertools import chain
 
+from ._record import Record
 from .distfit import LaplaceParams, NormalParams
 from .errors import DomainError, InsufficientDataError
 from .gof import _compare_fits, _fits
@@ -14,8 +15,7 @@ from .moments import _centred, _moments
 from .normality import ROYSTON_MAX_VALIDATED_N, _shapiro_wilk
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     symbol: str
     n: int
     skew: float
@@ -34,8 +34,7 @@ class AnalysisReport:
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class HistogramData:
+class HistogramData(Record):
     bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
     densities: tuple[float, ...]
@@ -80,11 +79,14 @@ _NESTED = {"normal_fit": NormalParams, "laplace_fit": LaplaceParams}
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    return {**asdict(report), "warnings": list(report.warnings)}
+    payload = report._asdict()
+    for name in _NESTED:
+        payload[name] = payload[name]._asdict()
+    return {**payload, "warnings": list(report.warnings)}
 
 
 def report_from_dict(payload: dict) -> AnalysisReport:
-    values = {f.name: payload[f.name] for f in fields(AnalysisReport)}
+    values = {name: payload[name] for name in AnalysisReport._fields}
     for name, params in _NESTED.items():
         values[name] = params(**values[name])
     values["warnings"] = tuple(values["warnings"])
@@ -101,18 +103,17 @@ def _fmt6(value: float) -> str:
 
 def render_report_markdown(report: AnalysisReport) -> str:
     rows = []
-    for field in fields(AnalysisReport):
-        value = getattr(report, field.name)
-        if field.name in _NESTED:
-            prefix = field.name.removesuffix("_fit")
+    for name, value in report._asdict().items():
+        if name in _NESTED:
+            prefix = name.removesuffix("_fit")
             rows.extend(
-                (f"{prefix}_{param.name}", _fmt6(getattr(value, param.name)))
-                for param in fields(value)
+                (f"{prefix}_{param}", _fmt6(param_value))
+                for param, param_value in value._asdict().items()
             )
-        elif field.name != "warnings":
+        elif name != "warnings":
             # a bare | in a cell would start a new column
             cell = _fmt6(value) if isinstance(value, float) else str(value).replace("|", r"\|")
-            rows.append((field.name, cell))
+            rows.append((name, cell))
     key_width = max(len(k) for k, _ in rows)
     value_width = max(max(len(v) for _, v in rows), len("value"))
     lines = [
@@ -155,7 +156,7 @@ def histogram(values: Sequence[float], bins: int) -> HistogramData:
 
 
 def render_histogram_json(symbol: str, hist: HistogramData) -> str:
-    payload = {"symbol": symbol, "n": sum(hist.counts), **asdict(hist)}
+    payload = {"symbol": symbol, "n": sum(hist.counts), **hist._asdict()}
     return json.dumps(payload, indent=2, allow_nan=False)
 
 
@@ -200,24 +201,24 @@ def render_ecdf_svg(rows: Sequence[tuple[float, float, float, float]], symbol: s
     plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def px(x: float) -> str:
-        return f"{_MARGIN_LEFT + plot_w * (x - lo) / (hi - lo):.2f}"
+    # pixel coordinates as the polylines print them, each formatted once per value
+    def px(values: Sequence[float]) -> list[str]:
+        return [f"{_MARGIN_LEFT + plot_w * (x - lo) / (hi - lo):.2f}" for x in values]
 
-    def py(q: float) -> str:
-        return f"{_MARGIN_TOP + plot_h * (1.0 - q):.2f}"
+    def py(values: Sequence[float]) -> list[str]:
+        return [f"{_MARGIN_TOP + plot_h * (1.0 - q):.2f}" for q in values]
 
-    # staircase for the empirical CDF
-    stair = [f"{px(xs[0])},{py(0.0)}"]
-    previous_level = 0.0
-    for x, e, _, _ in rows:
-        stair.append(f"{px(x)},{py(previous_level)}")
-        stair.append(f"{px(x)},{py(e)}")
-        previous_level = e
+    x_pixels = px(xs)
+    ecdf_y = py([r[1] for r in rows])
+    # staircase for the empirical CDF: each step rises from the previous level
+    (bottom,) = py((0.0,))
+    steps = zip(x_pixels, chain((bottom,), ecdf_y), ecdf_y)
     curves = [
-        " ".join(stair),
-        " ".join(f"{px(x)},{py(fn)}" for x, _, fn, _ in rows),
-        " ".join(f"{px(x)},{py(fl)}" for x, _, _, fl in rows),
+        f"{x_pixels[0]},{bottom} " + " ".join(f"{x},{p} {x},{e}" for x, p, e in steps),
+        " ".join(map("{},{}".format, x_pixels, py([r[2] for r in rows]))),
+        " ".join(map("{},{}".format, x_pixels, py([r[3] for r in rows]))),
     ]
+    del x_pixels, ecdf_y  # not held while the document is joined: bounds peak memory
 
     title = symbol.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
@@ -233,17 +234,15 @@ def render_ecdf_svg(rows: Sequence[tuple[float, float, float, float]], symbol: s
         f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" stroke="{axis_color}"/>'
     )
     parts.append(f'<line x1="{x0}" y1="{_MARGIN_TOP}" x2="{x0}" y2="{y0}" stroke="{axis_color}"/>')
-    for k in range(5):
-        x = lo + (hi - lo) * k / 4.0
-        sx = px(x)
+    x_ticks = [lo + (hi - lo) * k / 4.0 for k in range(5)]
+    for x, sx in zip(x_ticks, px(x_ticks)):
         parts.append(f'<line x1="{sx}" y1="{y0}" x2="{sx}" y2="{y0 + 5}" stroke="{axis_color}"/>')
         parts.append(
             f'<text x="{sx}" y="{y0 + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{x:.4g}</text>'
         )
-    for k in range(6):
-        q = k / 5.0
-        sy = py(q)
+    y_ticks = [k / 5.0 for k in range(6)]
+    for q, sy in zip(y_ticks, py(y_ticks)):
         parts.append(f'<line x1="{x0 - 5}" y1="{sy}" x2="{x0}" y2="{sy}" stroke="{axis_color}"/>')
         parts.append(
             f'<text x="{x0 - 9}" y="{sy}" text-anchor="end" dominant-baseline="middle" '

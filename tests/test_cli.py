@@ -369,3 +369,27 @@ def test_cli_imports_only_stdlib():
     )
     loaded = {name.partition(".")[0] for name in proc.stdout.split()}
     assert loaded - sys.stdlib_module_names - {"returndist", "__main__"} == set()
+    # the import budget: these cost more to load than the package itself
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "pathlib"}
+    assert loaded & heavy == set()
+
+
+@pytest.mark.parametrize(
+    "path, symbol",
+    [
+        ("dir/SPX.csv", "SPX"),
+        ("./x.csv", "x"),
+        ("a.tar.gz", "a.tar"),
+        ("a..b", "a."),
+        ("..x", "."),
+        ("foo.", "foo."),
+        (".hidden", ".hidden"),
+    ],
+)
+def test_symbol_is_file_stem(path, symbol, tmp_path, monkeypatch, capsys):
+    # the file name less its last suffix, as pathlib.Path(path).stem gives it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / path).write_text("0.01\n-0.02\n0.03\n0.005\n-0.01\n", encoding="utf-8")
+    assert main(["analyze", "--input", path, "--returns-only"]) == 0
+    assert json.loads(capsys.readouterr().out)["symbol"] == symbol
