@@ -1,12 +1,13 @@
 """Command-line interface: analyze, sample, ecdf, and hist subcommands.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error,
-3 computation error (degenerate sample) or any other failure.
+3 computation error (degenerate sample, draws that overflow) or any other failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Sequence
@@ -164,6 +165,13 @@ def _run_sample(args: argparse.Namespace) -> int:
     except DomainError as exc:
         raise UsageError(str(exc)) from None
     values = draw(args.n, params, args.seed)
+    # a finite scale near the float64 limit still overflows in the tails;
+    # such draws would not read back as returns, so none are written
+    if not all(map(math.isfinite, values)):
+        i, x = next((i, x) for i, x in enumerate(values) if not math.isfinite(x))
+        raise DomainError(
+            f"draw {i + 1} of {args.n} is not finite ({x}); the location or scale is too large"
+        )
     _write_output(args, returns_to_lines(values))
     return EXIT_OK
 

@@ -57,16 +57,22 @@ def median(sample: Sequence[float]) -> float:
     return float(ordered[mid]) if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def fit_laplace(sample: Sequence[float]) -> LaplaceParams:
-    """ML fit: mu = sample median, scale = mean |deviation| from it."""
+def _fit_laplace(sample: Sequence[float]) -> tuple[LaplaceParams, float]:
+    """The ML fit and its sum of |x - mu|, which the log-likelihood reuses."""
     n = len(sample)
     if n < 2:
         raise InsufficientDataError(f"laplace fit needs n >= 2, got {n}")
     mu = median(sample)
-    scale = math.fsum(abs(x - mu) for x in sample) / n
+    abs_dev = math.fsum(abs(x - mu) for x in sample)
+    scale = abs_dev / n
     if scale == 0.0:
         raise DegenerateFitError("all sample values identical; laplace scale is zero")
-    return LaplaceParams(mu=mu, scale=scale)
+    return LaplaceParams(mu=mu, scale=scale), abs_dev
+
+
+def fit_laplace(sample: Sequence[float]) -> LaplaceParams:
+    """ML fit: mu = sample median, scale = mean |deviation| from it."""
+    return _fit_laplace(sample)[0]
 
 
 def _fit_normal(centred: tuple) -> NormalParams:
@@ -98,15 +104,24 @@ def laplace_cdf(x: float, p: LaplaceParams) -> float:
     return _laplace_cdfs((x,), p)[0]
 
 
+def _laplace_quantiles(qs: Iterable[float], p: LaplaceParams) -> list[float]:
+    """The Laplace quantile at each q in (0, 1); laplace_quantile is this
+    formula at one point."""
+    mu, scale = p.mu, p.scale
+    log = math.log
+    return [
+        mu + scale * log(2.0 * q) if q < 0.5
+        else mu - scale * log(2.0 * (1.0 - q)) if q > 0.5
+        else mu
+        for q in qs
+    ]
+
+
 def laplace_quantile(q: float, p: LaplaceParams) -> float:
     """Inverse CDF: mu - scale * sgn(q - 1/2) * ln(1 - 2|q - 1/2|)."""
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {q}")
-    if q < 0.5:
-        return p.mu + p.scale * math.log(2.0 * q)
-    if q > 0.5:
-        return p.mu - p.scale * math.log(2.0 * (1.0 - q))
-    return p.mu
+    return _laplace_quantiles((q,), p)[0]
 
 
 def _normal_cdfs(xs: Iterable[float], p: NormalParams) -> list[float]:
@@ -207,31 +222,41 @@ class Xoshiro256PlusPlus:
             words[0] = 1  # the all-zero state is the one fixed point
         self._s0, self._s1, self._s2, self._s3 = words
 
-    def next_uint64(self) -> int:
+    def _words(self, count: int) -> list[int]:
+        """The next count 64-bit outputs; the one definition of the step."""
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        t = (s0 + s3) & _MASK64
-        result = (((t << 23) | (t >> 41)) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        out = []
+        append = out.append
+        for _ in range(count):
+            t = (s0 + s3) & _MASK64
+            append((((t << 23) | (t >> 41)) + s0) & _MASK64)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
+        return out
+
+    def _floats(self, count: int) -> list[float]:
+        """The next count uniforms on the open interval (0, 1), 53-bit resolution."""
+        return [((w >> 11) + 0.5) * 2.0**-53 for w in self._words(count)]
+
+    def next_uint64(self) -> int:
+        return self._words(1)[0]
 
     def next_float(self) -> float:
         """Uniform on the open interval (0, 1), 53-bit resolution."""
-        return ((self.next_uint64() >> 11) + 0.5) * 2.0**-53
+        return self._floats(1)[0]
 
 
 def sample_laplace(n: int, p: LaplaceParams, seed: int) -> list[float]:
     """n inverse-transform Laplace variates, deterministic per seed."""
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    rng = Xoshiro256PlusPlus(seed)
-    return [laplace_quantile(rng.next_float(), p) for _ in range(n)]
+    return _laplace_quantiles(Xoshiro256PlusPlus(seed)._floats(n), p)
 
 
 def sample_normal(n: int, p: NormalParams, seed: int) -> list[float]:
@@ -240,15 +265,22 @@ def sample_normal(n: int, p: NormalParams, seed: int) -> list[float]:
         raise DomainError(f"sample size must be >= 1, got {n}")
     rng = Xoshiro256PlusPlus(seed)
     mean, sigma = p.mean, p.sigma
+    sqrt, log = math.sqrt, math.log
     out: list[float] = []
-    while len(out) < n:
-        u = 2.0 * rng.next_float() - 1.0
-        v = 2.0 * rng.next_float() - 1.0
-        s = u * u + v * v
-        if s >= 1.0 or s == 0.0:
-            continue
-        factor = math.sqrt(-2.0 * math.log(s) / s)
-        out.append(mean + sigma * u * factor)
-        if len(out) < n:
-            out.append(mean + sigma * v * factor)
+    append = out.append
+    while (missing := n - len(out)) > 0:
+        # about 4/3 uniforms per missing normal (a pair is accepted with
+        # probability pi/4 and yields two), plus slack; an even count keeps
+        # the pairs aligned with the stream
+        it = iter(rng._floats(2 * ((2 * missing + 2) // 3 + 8)))
+        for a, b in zip(it, it):
+            u = 2.0 * a - 1.0
+            v = 2.0 * b - 1.0
+            s = u * u + v * v
+            if s >= 1.0 or s == 0.0:
+                continue
+            factor = sqrt(-2.0 * log(s) / s)
+            append(mean + sigma * u * factor)
+            append(mean + sigma * v * factor)
+    del out[n:]
     return out

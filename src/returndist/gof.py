@@ -10,16 +10,16 @@ import bisect
 import math
 import operator
 from collections.abc import Callable, Sequence
-from itertools import repeat
+from itertools import islice
 
 from ._record import Record
 from .distfit import (
     LaplaceParams,
     NormalParams,
+    _fit_laplace,
     _fit_normal,
     _laplace_cdfs,
     _normal_cdfs,
-    fit_laplace,
 )
 from .errors import DomainError, InsufficientDataError
 from .moments import _centred
@@ -56,37 +56,49 @@ def ecdf(sample: Sequence[float]) -> EcdfCurve:
     return EcdfCurve(sorted_x=tuple(sorted(sample)))
 
 
-def _ks_distance(cdf_values: list[float]) -> float:
+def _ecdf_steps(n: int) -> list[float]:
+    """The ECDF levels i / n for i = 0..n."""
+    return [i / n for i in range(n + 1)]
+
+
+def _ks_distance(cdf_values: list[float], steps: list[float]) -> float:
     """sup |ECDF - F| from F at each order statistic, in ascending order,
-    taking both one-sided gaps at every point."""
-    n = len(cdf_values)
-    above = max(map(operator.sub, map(operator.truediv, range(1, n + 1), repeat(n)), cdf_values))
-    below = max(map(operator.sub, cdf_values, map(operator.truediv, range(n), repeat(n))))
+    taking both one-sided gaps at every point; steps is _ecdf_steps(n)."""
+    above = max(map(operator.sub, islice(steps, 1, None), cdf_values))
+    below = max(map(operator.sub, cdf_values, steps))
     return max(0.0, above, below)
 
 
 def ks_statistic(sample: Sequence[float], cdf: Callable[[float], float]) -> float:
     """sup |ECDF - F| for a continuous F, taking both one-sided gaps at
     every order statistic."""
-    if len(sample) == 0:
+    n = len(sample)
+    if n == 0:
         raise InsufficientDataError("ks statistic needs a non-empty sample")
-    return _ks_distance(list(map(cdf, sorted(sample))))
+    return _ks_distance(list(map(cdf, sorted(sample))), _ecdf_steps(n))
+
+
+def _normal_log_likelihood(n: int, sq_dev: float, sigma: float) -> float:
+    """From n and the sum of (x - mean) ** 2."""
+    return -0.5 * n * math.log(2.0 * math.pi * sigma * sigma) - sq_dev / (2.0 * sigma * sigma)
+
+
+def _laplace_log_likelihood(n: int, abs_dev: float, scale: float) -> float:
+    """From n and the sum of |x - mu|."""
+    return -n * math.log(2.0 * scale) - abs_dev / scale
 
 
 def log_likelihood(sample: Sequence[float], params: NormalParams | LaplaceParams) -> float:
     """Sum of log densities under the given fitted family."""
-    if len(sample) == 0:
-        raise InsufficientDataError("log-likelihood needs a non-empty sample")
     n = len(sample)
+    if n == 0:
+        raise InsufficientDataError("log-likelihood needs a non-empty sample")
     if isinstance(params, LaplaceParams):
         abs_dev = math.fsum(abs(x - params.mu) for x in sample)
-        return -n * math.log(2.0 * params.scale) - abs_dev / params.scale
+        return _laplace_log_likelihood(n, abs_dev, params.scale)
     if isinstance(params, NormalParams):
         sq_dev = math.fsum((x - params.mean) ** 2 for x in sample)
-        return (
-            -0.5 * n * math.log(2.0 * math.pi * params.sigma * params.sigma)
-            - sq_dev / (2.0 * params.sigma * params.sigma)
-        )
+        return _normal_log_likelihood(n, sq_dev, params.sigma)
     raise DomainError(f"unsupported params type {type(params).__name__}")
 
 
@@ -95,20 +107,29 @@ def _aic(ll: float) -> float:
 
 
 def _fits(centred: tuple) -> tuple[Sequence[float], tuple]:
-    """The ascending sample, and (family, params, CDF list kernel) for each family fitted to it."""
-    sorted_x = centred[0]
+    """The ascending sample, and (family, params, CDF list kernel, log-likelihood)
+    for each family fitted to it. Each log-likelihood is a function of the
+    centred sample, so a caller that does not report it takes no pass for it
+    and keeps no deviations alive."""
+    sorted_x, n = centred[0], centred[1]
+    normal = _fit_normal(centred)
+    laplace, abs_dev = _fit_laplace(sorted_x)
+    # params.mean is the centred mean, so each d ** 2 is log_likelihood's (x - mean) ** 2
     return sorted_x, (
-        ("normal", _fit_normal(centred), _normal_cdfs),
-        ("laplace", fit_laplace(sorted_x), _laplace_cdfs),
+        ("normal", normal, _normal_cdfs,
+         lambda c: _normal_log_likelihood(n, math.fsum(d**2 for d in c[3]), normal.sigma)),
+        ("laplace", laplace, _laplace_cdfs,
+         lambda c: _laplace_log_likelihood(n, abs_dev, laplace.scale)),
     )
 
 
 def _compare_fits(centred: tuple) -> GofReport:
     sorted_x, fits = _fits(centred)
+    steps = _ecdf_steps(len(sorted_x))
     scores = []
-    for family, params, cdfs in fits:
-        ll = log_likelihood(sorted_x, params)
-        ks = _ks_distance(cdfs(sorted_x, params))
+    for family, params, cdfs, log_lik in fits:
+        ll = log_lik(centred)
+        ks = _ks_distance(cdfs(sorted_x, params), steps)
         scores.append(FitScore(family, params, ks, ll, _aic(ll)))
     better = min(scores, key=lambda s: (s.aic, s.ks_distance))
     return GofReport(normal=scores[0], laplace=scores[1], better_fit=better.family)

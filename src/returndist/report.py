@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, compress, islice
+from operator import eq
 
 from ._record import Record
 from .distfit import LaplaceParams, NormalParams
 from .errors import DomainError, InsufficientDataError
-from .gof import _compare_fits, _fits
+from .gof import _compare_fits, _ecdf_steps, _fits
 from .moments import _centred, _moments
 from .normality import ROYSTON_MAX_VALIDATED_N, _shapiro_wilk
 
@@ -165,8 +165,13 @@ def ecdf_overlay(values: Sequence[float]) -> list[tuple[float, float, float, flo
     both families fitted to the sample."""
     sorted_x, fits = _fits(_centred(sorted(values), 4, "fit comparison"))
     n = len(sorted_x)
-    ecdf_values = [bisect_right(sorted_x, x) / n for x in sorted_x]
-    return list(zip(sorted_x, ecdf_values, *(cdfs(sorted_x, params) for _, params, cdfs in fits)))
+    # (#points <= x) / n: the rank of the last member of x's run of ties,
+    # carried down each run from its end
+    ecdf_values = _ecdf_steps(n)
+    del ecdf_values[0]
+    for i in reversed(list(compress(range(n - 1), map(eq, sorted_x, islice(sorted_x, 1, None))))):
+        ecdf_values[i] = ecdf_values[i + 1]
+    return list(zip(sorted_x, ecdf_values, *(cdfs(sorted_x, params) for _, params, cdfs, _ in fits)))
 
 
 def render_ecdf_csv(rows: Sequence[tuple[float, float, float, float]]) -> str:

@@ -167,6 +167,25 @@ class TestSample:
             assert main(argv) == 1, argv
             capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        ("params", "n", "first_bad"),
+        [
+            (["--dist", "laplace", "--lambda", "1e308"], 2000, 7),
+            (["--dist", "normal", "--sigma", "1e308"], 2000, 13),
+            (["--dist", "normal", "--mu", "1e308", "--sigma", "1e308"], 20, 13),
+        ],
+    )
+    def test_overflowing_draws_exit_3_and_write_nothing(
+        self, tmp_path, capsys, params, n, first_bad
+    ):
+        out = tmp_path / "draws.txt"
+        argv = ["sample", *params, "--n", str(n), "--seed", "1", "--output", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"returndist: error: draw {first_bad} of {n} is not finite (")
+        assert not out.exists()
+
     def test_custom_params_respected(self, tmp_path):
         path = tmp_path / "shifted.txt"
         main([

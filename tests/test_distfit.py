@@ -14,6 +14,8 @@ from returndist.distfit import (
     _ACKLAM_B,
     _ACKLAM_C,
     _ACKLAM_D,
+    _MASK64,
+    _laplace_quantiles,
     _lower_quantiles,
     fit_laplace,
     fit_normal,
@@ -350,3 +352,109 @@ class TestSamplers:
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(lambda _: sample_normal(500, STD_NORMAL, 31), range(8)))
         assert all(r == expected for r in results)
+
+
+class _ReferenceXoshiro:
+    """The generator as it was written one step per call before the list
+    kernel, started from the same seeded state."""
+
+    def __init__(self, seed: int) -> None:
+        rng = Xoshiro256PlusPlus(seed)
+        self.s = [rng._s0, rng._s1, rng._s2, rng._s3]
+
+    def next_uint64(self) -> int:
+        s0, s1, s2, s3 = self.s
+        t = (s0 + s3) & _MASK64
+        result = (((t << 23) | (t >> 41)) + s0) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self.s = [s0, s1, s2, s3]
+        return result
+
+    def next_float(self) -> float:
+        return ((self.next_uint64() >> 11) + 0.5) * 2.0**-53
+
+
+def _reference_laplace_quantile(q: float, p: LaplaceParams) -> float:
+    if q < 0.5:
+        return p.mu + p.scale * math.log(2.0 * q)
+    if q > 0.5:
+        return p.mu - p.scale * math.log(2.0 * (1.0 - q))
+    return p.mu
+
+
+def _reference_sample_laplace(n: int, p: LaplaceParams, seed: int) -> list[float]:
+    rng = _ReferenceXoshiro(seed)
+    return [_reference_laplace_quantile(rng.next_float(), p) for _ in range(n)]
+
+
+def _reference_sample_normal(n: int, p: NormalParams, seed: int) -> list[float]:
+    """Marsaglia's polar method, one uniform per call, stopping at n."""
+    rng = _ReferenceXoshiro(seed)
+    out: list[float] = []
+    while len(out) < n:
+        u = 2.0 * rng.next_float() - 1.0
+        v = 2.0 * rng.next_float() - 1.0
+        s = u * u + v * v
+        if s >= 1.0 or s == 0.0:
+            continue
+        factor = math.sqrt(-2.0 * math.log(s) / s)
+        out.append(p.mean + p.sigma * u * factor)
+        if len(out) < n:
+            out.append(p.mean + p.sigma * v * factor)
+    return out
+
+
+class TestListKernels:
+    """The list kernels against the per-call code they replaced."""
+
+    SEEDS = (0, 1, 42, 2**64 - 1)
+    SIZES = (1, 2, 3, 4, 5, 999, 5000, 5001)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_and_floats_equal_per_step_calls(self, seed):
+        rng, ref = Xoshiro256PlusPlus(seed), _ReferenceXoshiro(seed)
+        for k in (0, 1, 2, 7, 1000):
+            assert rng._words(k) == [ref.next_uint64() for _ in range(k)]
+            assert rng.next_uint64() == ref.next_uint64()
+            assert rng._floats(k) == [ref.next_float() for _ in range(k)]
+            assert rng.next_float() == ref.next_float()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_samplers_equal_per_draw_reference(self, seed):
+        normal, laplace = NormalParams(mean=0.5, sigma=2.0), LaplaceParams(mu=-1.0, scale=0.25)
+        for n in self.SIZES:
+            assert sample_normal(n, normal, seed) == _reference_sample_normal(n, normal, seed)
+            assert sample_laplace(n, laplace, seed) == _reference_sample_laplace(n, laplace, seed)
+
+    def test_normal_refill_loop(self, monkeypatch):
+        # batches short enough to need many refills, which a normal run
+        # almost never reaches; every request is even, so pairs stay aligned
+        floats, requested = Xoshiro256PlusPlus._floats, []
+
+        def short_floats(self, count):
+            requested.append(count)
+            return floats(self, min(count, 6))
+
+        monkeypatch.setattr(Xoshiro256PlusPlus, "_floats", short_floats)
+        for seed in self.SEEDS:
+            for n in self.SIZES:
+                assert sample_normal(n, STD_NORMAL, seed) == _reference_sample_normal(
+                    n, STD_NORMAL, seed
+                )
+        assert requested and all(count % 2 == 0 for count in requested)
+
+    def test_laplace_quantile_is_the_kernel_at_one_point(self):
+        p = LaplaceParams(mu=0.25, scale=3.0)
+        levels = [1e-300, 0.1, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 0.9,
+                  math.nextafter(1.0, 0.0)]
+        per_point = [laplace_quantile(q, p) for q in levels]
+        assert per_point == _laplace_quantiles(levels, p)
+        assert per_point == [_reference_laplace_quantile(q, p) for q in levels]
+        assert per_point[3] == p.mu
+        assert per_point[2] < p.mu < per_point[4]

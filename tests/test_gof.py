@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import operator
+from itertools import repeat
 
 import pytest
 
@@ -18,7 +20,14 @@ from returndist.distfit import (
 )
 from returndist.errors import DegenerateFitError, InsufficientDataError
 from returndist import distfit
-from returndist.gof import compare_fits, ecdf, ks_statistic, log_likelihood
+from returndist.gof import (
+    _ecdf_steps,
+    _ks_distance,
+    compare_fits,
+    ecdf,
+    ks_statistic,
+    log_likelihood,
+)
 
 STD_LAPLACE = LaplaceParams(mu=0.0, scale=1.0)
 STD_NORMAL = NormalParams(mean=0.0, sigma=1.0)
@@ -118,6 +127,30 @@ def _ks_per_point(sample, cdf):
         f = cdf(x)
         distance = max(distance, i / n - f, f - (i - 1) / n)
     return distance
+
+
+def _ks_map_truediv(cdf_values):
+    """The KS kernel as it was written before the shared ECDF steps."""
+    n = len(cdf_values)
+    above = max(map(operator.sub, map(operator.truediv, range(1, n + 1), repeat(n)), cdf_values))
+    below = max(map(operator.sub, cdf_values, map(operator.truediv, range(n), repeat(n))))
+    return max(0.0, above, below)
+
+
+class TestKsKernel:
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 37, 1879, 5001))
+    def test_shared_steps_equal_map_truediv(self, n):
+        assert _ecdf_steps(n) == list(map(operator.truediv, range(n + 1), repeat(n)))
+        sample = sample_laplace(n, STD_LAPLACE, n)
+        for values in (sample, [round(x, 1) for x in sample]):  # without and with ties
+            sorted_x = sorted(values)
+            for cdfs, params in (
+                (distfit._laplace_cdfs, STD_LAPLACE),
+                (distfit._normal_cdfs, STD_NORMAL),
+                (distfit._laplace_cdfs, LaplaceParams(mu=0.5, scale=0.1)),
+            ):
+                cdf_values = cdfs(sorted_x, params)
+                assert _ks_distance(cdf_values, _ecdf_steps(n)) == _ks_map_truediv(cdf_values)
 
 
 class TestCompareFits:

@@ -25,7 +25,7 @@ from returndist.errors import (
     DomainError,
     InsufficientDataError,
 )
-from returndist.gof import compare_fits
+from returndist.gof import compare_fits, log_likelihood
 from returndist.moments import moment_report
 from returndist.normality import shapiro_wilk
 from returndist.report import (
@@ -236,6 +236,17 @@ class TestCentredSample:
             )
             assert fit_normal(values) == NormalParams(moments.mean, math.sqrt(moments.m2))
 
+    def test_log_likelihoods_from_fit_sums_equal_log_likelihood(self):
+        # the last sample's fsum of d * d differs from that of d ** 2
+        d_squared_differs = [
+            0.0009792502451397651, 0.0007281421008989415, 0.0006606232561249079,
+            0.7410312675935824,
+        ]
+        for values in [*seeded_samples((4, 5, 37, 1879, 5001)), d_squared_differs]:
+            gof = compare_fits(values)
+            for score in (gof.normal, gof.laplace):
+                assert score.log_likelihood == log_likelihood(values, score.params)
+
     def test_one_mean_and_two_sum_of_squares_passes(self, monkeypatch):
         # the normal log-likelihood keeps its own pass around the given params
         values = sample_laplace(50, STD_LAPLACE, 5)
@@ -287,6 +298,23 @@ class TestEcdfOverlay:
     def test_equals_per_point_reference(self):
         for values in seeded_samples((4, 5, 37, 1879)):
             assert ecdf_overlay(values) == _overlay_per_point(values)
+
+    def test_no_log_likelihood_pass(self, monkeypatch):
+        # one mean, one sum of squares and the Laplace fit's |x - mu|: the
+        # overlay takes no pass for a log-likelihood it does not report
+        values = sample_laplace(50, STD_LAPLACE, 5)
+        mean = math.fsum(values) / len(values)
+        fsum, summed = math.fsum, []
+
+        def recording_fsum(terms):
+            terms = list(terms)
+            summed.append(terms)
+            return fsum(terms)
+
+        monkeypatch.setattr(math, "fsum", recording_fsum)
+        ecdf_overlay(values)
+        assert len(summed) == 3
+        assert sorted(summed[1]) == sorted((x - mean) * (x - mean) for x in values)
 
     def test_row_contract(self):
         values = sample_laplace(400, STD_LAPLACE, 91)
