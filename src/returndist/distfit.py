@@ -47,23 +47,26 @@ class NormalParams(Record):
             raise DomainError(f"normal sigma must be finite and > 0, got {self.sigma}")
 
 
+def _middle(ordered: Sequence[float]) -> float:
+    """The median of an ascending sample."""
+    if not ordered:
+        raise InsufficientDataError("median needs a non-empty sample")
+    mid, odd = divmod(len(ordered), 2)
+    return float(ordered[mid]) if odd else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def median(sample: Sequence[float]) -> float:
     """Middle order statistic; mean of the two middle ones for even n."""
-    n = len(sample)
-    if n == 0:
-        raise InsufficientDataError("median needs a non-empty sample")
-    ordered = sorted(sample)
-    mid = n // 2
-    return float(ordered[mid]) if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+    return _middle(sorted(sample))
 
 
-def _fit_laplace(sample: Sequence[float]) -> tuple[LaplaceParams, float]:
-    """The ML fit and its sum of |x - mu|, which the log-likelihood reuses."""
-    n = len(sample)
+def _fit_laplace(ordered: Sequence[float]) -> tuple[LaplaceParams, float]:
+    """The ML fit to an ascending sample, and its sum of |x - mu| for the LL."""
+    n = len(ordered)
     if n < 2:
         raise InsufficientDataError(f"laplace fit needs n >= 2, got {n}")
-    mu = median(sample)
-    abs_dev = math.fsum(abs(x - mu) for x in sample)
+    mu = _middle(ordered)
+    abs_dev = math.fsum(abs(x - mu) for x in ordered)
     scale = abs_dev / n
     if scale == 0.0:
         raise DegenerateFitError("all sample values identical; laplace scale is zero")
@@ -72,7 +75,7 @@ def _fit_laplace(sample: Sequence[float]) -> tuple[LaplaceParams, float]:
 
 def fit_laplace(sample: Sequence[float]) -> LaplaceParams:
     """ML fit: mu = sample median, scale = mean |deviation| from it."""
-    return _fit_laplace(sample)[0]
+    return _fit_laplace(sorted(sample))[0]
 
 
 def _fit_normal(centred: tuple) -> NormalParams:

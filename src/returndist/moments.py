@@ -2,14 +2,16 @@
 
 Population (biased) estimators throughout, computed two-pass. The first
 pass, `_centred` (mean, deviations, sum of squares), is taken once per
-analysis and read by the moments, Shapiro-Wilk and the Normal fit.
-Kurtosis is reported in Fisher's excess form, zero in expectation for normal data.
+analysis and read by the moments, Shapiro-Wilk, the Normal fit and the
+Normal log-likelihood. Kurtosis is in Fisher's excess form, zero in
+expectation for normal data.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import repeat
 
 from ._record import Record
 from .errors import DegenerateSampleError, DomainError, InsufficientDataError
@@ -34,15 +36,18 @@ def _centred(sample: Sequence[float], min_n: int, what: str) -> tuple:
         raise InsufficientDataError(f"{what} needs n >= {min_n}, got {n}")
     mean = math.fsum(sample) / n
     deviations = [x - mean for x in sample]
-    return sample, n, mean, deviations, math.fsum(d * d for d in deviations)
+    sum_squares = math.fsum(d * d for d in deviations)
+    if sum_squares == 0.0 and min(sample) != max(sample):
+        raise DegenerateSampleError("squared deviations underflow to zero; rescale the sample")
+    return sample, n, mean, deviations, sum_squares
 
 
 def central_moment(sample: Sequence[float], k: int) -> float:
-    """k-th central sample moment, (1/n) * sum((x - mean)^k)."""
+    """k-th central sample moment, (1/n) * sum(d * d * ... * d), d = x - mean."""
     if not 1 <= k <= MAX_MOMENT_ORDER:
         raise DomainError(f"moment order must be in 1..{MAX_MOMENT_ORDER}, got {k}")
     _, n, _, deviations, _ = _centred(sample, 1, "central moment")
-    return math.fsum(d**k for d in deviations) / n
+    return math.fsum(math.prod(repeat(d, k)) for d in deviations) / n
 
 
 def _moments(centred: tuple) -> MomentsReport:

@@ -51,7 +51,7 @@ def _poly(coefficients: tuple[float, ...], x: float) -> float:
     return acc
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=8)
 def _coefficients(n: int) -> tuple[float, ...]:
     """The n // 2 positive weights of the lower order statistics; the
     upper half mirrors them with opposite sign, and an odd n's middle one is 0."""

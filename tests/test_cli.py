@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -345,6 +346,23 @@ def test_failure_is_one_line(name, command, code, tmp_path, capsys):
     assert err.startswith("returndist: error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exponent", (-600, -1000))
+@pytest.mark.parametrize("command", ("analyze", "ecdf"))
+def test_underflowing_squares_exit_3_with_their_cause(command, exponent, tmp_path, capsys):
+    # the values differ, but every squared deviation from their mean is below
+    # the smallest subnormal: not a zero-variance sample
+    returns = sample_laplace(1879, LaplaceParams(mu=0.0, scale=0.006), 2019)
+    path = tmp_path / "scaled.txt"
+    path.write_text("".join(f"{math.ldexp(r, exponent)!r}\n" for r in returns), encoding="utf-8")
+    argv = [command, "--input", str(path), "--returns-only"]
+    if command == "ecdf":
+        argv += ["--output", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "returndist: error: squared deviations underflow to zero; rescale the sample\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import json
 import math
 import re
@@ -26,7 +27,7 @@ from returndist.errors import (
     InsufficientDataError,
 )
 from returndist.gof import compare_fits, log_likelihood
-from returndist.moments import moment_report
+from returndist.moments import central_moment, moment_report
 from returndist.normality import shapiro_wilk
 from returndist.report import (
     analyze_returns,
@@ -247,8 +248,9 @@ class TestCentredSample:
             for score in (gof.normal, gof.laplace):
                 assert score.log_likelihood == log_likelihood(values, score.params)
 
-    def test_one_mean_and_two_sum_of_squares_passes(self, monkeypatch):
-        # the normal log-likelihood keeps its own pass around the given params
+    def test_one_mean_and_one_sum_of_squares_pass(self, monkeypatch):
+        # the normal log-likelihood reads the sum of squares the moments,
+        # Shapiro-Wilk and the Normal fit read
         values = sample_laplace(50, STD_LAPLACE, 5)
         mean = math.fsum(values) / len(values)
         squares = (
@@ -265,7 +267,35 @@ class TestCentredSample:
         monkeypatch.setattr(math, "fsum", recording_fsum)
         analyze_returns(values, "SYN")
         assert summed.count(sorted(values)) == 1
-        assert sum(terms in squares for terms in summed) == 2
+        assert sum(terms in squares for terms in summed) == 1
+
+    @pytest.mark.parametrize("call", (analyze_returns, compare_fits, ecdf_overlay))
+    def test_one_sort(self, call, monkeypatch):
+        # the Laplace fit reads the median off the sorted copy the caller made
+        values = sample_laplace(50, STD_LAPLACE, 5)
+        sort, sorts = builtins.sorted, []
+
+        def recording_sorted(*args, **kwargs):
+            sorts.append(args)
+            return sort(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "sorted", recording_sorted)
+        call(*((values, "SYN") if call is analyze_returns else (values,)))
+        assert len(sorts) == 1
+
+    def test_central_moment_equals_moment_report(self):
+        for values in seeded_samples((4, 5, 37, 1879, 5001)):
+            moments = moment_report(values)
+            assert [central_moment(values, k) for k in (2, 3, 4)] == [
+                moments.m2, moments.m3, moments.m4
+            ]
+
+    @pytest.mark.parametrize("values", ([1, 2, 3, 4, 5], [1, 2, 3, 3, 4, 5]))
+    def test_integer_sample_gives_float_location(self, values):
+        report = analyze_returns(values, "INT")
+        for mu in (report.laplace_fit.mu, fit_laplace(values).mu):
+            assert type(mu) is float and mu == 3.0
+        assert '"mu": 3.0,' in render_report_json(report)
 
     @pytest.mark.parametrize(
         ("call", "values", "error", "message"),
@@ -284,6 +314,10 @@ class TestCentredSample:
             (fit_normal, [1.0], InsufficientDataError, "normal fit needs n >= 2, got 1"),
             (compare_fits, [1.0, 2.0, 3.0], InsufficientDataError,
              "fit comparison needs n >= 4, got 3"),
+            (analyze_returns, [1e-170, 2e-170, 3e-170, 4e-170], DegenerateSampleError,
+             "squared deviations underflow to zero; rescale the sample"),
+            (ecdf_overlay, [1e-170, 2e-170, 3e-170, 4e-170], DegenerateSampleError,
+             "squared deviations underflow to zero; rescale the sample"),
         ],
     )
     def test_error_type_and_message(self, call, values, error, message):
