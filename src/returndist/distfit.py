@@ -272,10 +272,11 @@ def sample_normal(n: int, p: NormalParams, seed: int) -> list[float]:
     out: list[float] = []
     append = out.append
     while (missing := n - len(out)) > 0:
-        # about 4/3 uniforms per missing normal (a pair is accepted with
-        # probability pi/4 and yields two), plus slack; an even count keeps
-        # the pairs aligned with the stream
-        it = iter(rng._floats(2 * ((2 * missing + 2) // 3 + 8)))
+        # a pair is accepted with probability pi/4 and yields two normals, so
+        # about 2/pi pairs per missing normal, plus a little slack; a short
+        # batch is topped up by the next round, and an even count of uniforms
+        # keeps the pairs aligned with the stream
+        it = iter(rng._floats(2 * (math.ceil(2 * missing / math.pi) + 8)))
         for a, b in zip(it, it):
             u = 2.0 * a - 1.0
             v = 2.0 * b - 1.0

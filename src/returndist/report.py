@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
-from itertools import chain, compress, islice
-from operator import eq
+from collections import Counter
+from collections.abc import Iterator, Sequence
+from itertools import chain, compress, islice, repeat
+from operator import eq, sub, truediv
 
 from ._record import Record
 from .distfit import LaplaceParams, NormalParams
@@ -145,10 +146,11 @@ def histogram(values: Sequence[float], bins: int) -> HistogramData:
     else:
         width = (hi - lo) / bins
         edges = tuple(lo + i * width for i in range(bins)) + (hi,)
-        counts = [0] * bins
-        for x in values:
-            index = min(int((x - lo) / width), bins - 1)
-            counts[index] += 1
+        # bin index of each value; an index past the last bin (x == hi, or values
+        # near hi when a subnormal width rounds down) folds into the last bin
+        tally = Counter(map(int, map(truediv, map(sub, values, repeat(lo)), repeat(width))))
+        counts = list(map(tally.__getitem__, range(bins)))
+        counts[-1] += n - sum(counts)
     densities = tuple(
         count / (n * (edges[i + 1] - edges[i])) for i, count in enumerate(counts)
     )
@@ -175,10 +177,10 @@ def ecdf_overlay(values: Sequence[float]) -> list[tuple[float, float, float, flo
 
 
 def render_ecdf_csv(rows: Sequence[tuple[float, float, float, float]]) -> str:
-    lines = ["x,ecdf,normal_cdf,laplace_cdf"]
-    for x, e, fn, fl in rows:
-        lines.append(f"{x!r},{e!r},{fn!r},{fl!r}")
-    return "\n".join(lines) + "\n"
+    # %r is repr, as f"{x!r}" is: one format call for the whole table
+    return "x,ecdf,normal_cdf,laplace_cdf\n" + "%r,%r,%r,%r\n" * len(rows) % tuple(
+        chain.from_iterable(rows)
+    )
 
 
 _SVG_WIDTH = 720
@@ -206,24 +208,12 @@ def render_ecdf_svg(rows: Sequence[tuple[float, float, float, float]], symbol: s
     plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    # pixel coordinates as the polylines print them, each formatted once per value
-    def px(values: Sequence[float]) -> list[str]:
-        return [f"{_MARGIN_LEFT + plot_w * (x - lo) / (hi - lo):.2f}" for x in values]
+    # pixel coordinates as floats, printed .2f
+    def px(values: Sequence[float]) -> list[float]:
+        return [_MARGIN_LEFT + plot_w * (x - lo) / (hi - lo) for x in values]
 
-    def py(values: Sequence[float]) -> list[str]:
-        return [f"{_MARGIN_TOP + plot_h * (1.0 - q):.2f}" for q in values]
-
-    x_pixels = px(xs)
-    ecdf_y = py([r[1] for r in rows])
-    # staircase for the empirical CDF: each step rises from the previous level
-    (bottom,) = py((0.0,))
-    steps = zip(x_pixels, chain((bottom,), ecdf_y), ecdf_y)
-    curves = [
-        f"{x_pixels[0]},{bottom} " + " ".join(f"{x},{p} {x},{e}" for x, p, e in steps),
-        " ".join(map("{},{}".format, x_pixels, py([r[2] for r in rows]))),
-        " ".join(map("{},{}".format, x_pixels, py([r[3] for r in rows]))),
-    ]
-    del x_pixels, ecdf_y  # not held while the document is joined: bounds peak memory
+    def py(values: Sequence[float]) -> list[float]:
+        return [_MARGIN_TOP + plot_h * (1.0 - q) for q in values]
 
     title = symbol.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
@@ -241,16 +231,20 @@ def render_ecdf_svg(rows: Sequence[tuple[float, float, float, float]], symbol: s
     parts.append(f'<line x1="{x0}" y1="{_MARGIN_TOP}" x2="{x0}" y2="{y0}" stroke="{axis_color}"/>')
     x_ticks = [lo + (hi - lo) * k / 4.0 for k in range(5)]
     for x, sx in zip(x_ticks, px(x_ticks)):
-        parts.append(f'<line x1="{sx}" y1="{y0}" x2="{sx}" y2="{y0 + 5}" stroke="{axis_color}"/>')
         parts.append(
-            f'<text x="{sx}" y="{y0 + 20}" text-anchor="middle" '
+            f'<line x1="{sx:.2f}" y1="{y0}" x2="{sx:.2f}" y2="{y0 + 5}" stroke="{axis_color}"/>'
+        )
+        parts.append(
+            f'<text x="{sx:.2f}" y="{y0 + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{x:.4g}</text>'
         )
     y_ticks = [k / 5.0 for k in range(6)]
     for q, sy in zip(y_ticks, py(y_ticks)):
-        parts.append(f'<line x1="{x0 - 5}" y1="{sy}" x2="{x0}" y2="{sy}" stroke="{axis_color}"/>')
         parts.append(
-            f'<text x="{x0 - 9}" y="{sy}" text-anchor="end" dominant-baseline="middle" '
+            f'<line x1="{x0 - 5}" y1="{sy:.2f}" x2="{x0}" y2="{sy:.2f}" stroke="{axis_color}"/>'
+        )
+        parts.append(
+            f'<text x="{x0 - 9}" y="{sy:.2f}" text-anchor="end" dominant-baseline="middle" '
             f'font-family="sans-serif" font-size="11">{q:.1f}</text>'
         )
     parts.append(
@@ -262,10 +256,36 @@ def render_ecdf_svg(rows: Sequence[tuple[float, float, float, float]], symbol: s
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.0f})">F(x)</text>'
     )
-    for points, (_, color) in zip(curves, _SERIES_STYLE):
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+
+    def polylines() -> Iterator[str]:
+        """Each curve as one polyline element, printed by one % call over its
+        pixel floats: no string is made per value."""
+        n = len(rows)
+        x_pixels = px(xs)
+        (bottom,) = py((0.0,))
+        for k, (_, color) in enumerate(_SERIES_STYLE, start=1):
+            y = py([r[k] for r in rows])
+            if k == 1:
+                # staircase for the empirical CDF: after (x0, bottom), each step
+                # rises from the previous level: (x, previous y), (x, y)
+                formats = chain(("%.2f,%.2f",), repeat("%.2f,%.2f %.2f,%.2f", n))
+                values = [x_pixels[0], bottom, 0.0, bottom] + [0.0] * (4 * n - 2)
+                values[2::4] = values[4::4] = x_pixels
+                values[5::4] = y
+                values[7::4] = y[:-1]
+            else:
+                formats = repeat("%.2f,%.2f", n)
+                values = [0.0] * (2 * n)
+                values[0::2], values[1::2] = x_pixels, y
+            values = tuple(values)  # the list is freed before the text is printed
+            yield (
+                f'<polyline points="{" ".join(formats)}" fill="none" stroke="{color}" '
+                f'stroke-width="1.5"/>' % values
+            )
+
+    # the pixel lists die with the generator, before the document is joined:
+    # bounds peak memory
+    parts.extend(polylines())
     legend_x = x0 + 14
     legend_y = _MARGIN_TOP + 10
     for i, (label, color) in enumerate(_SERIES_STYLE):
@@ -278,5 +298,5 @@ def render_ecdf_svg(rows: Sequence[tuple[float, float, float, float]], symbol: s
             f'<text x="{legend_x + 32}" y="{ly + 4}" font-family="sans-serif" '
             f'font-size="12">{label}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += "</svg>", ""  # the empty part ends the file with a newline, without a copy
+    return "\n".join(parts)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from datetime import date, timedelta
 
 import pytest
@@ -392,10 +393,72 @@ class TestSimpleReturns:
         assert all(r > -1.0 for r in simple_returns(make_series(prices)).values)
 
 
+def _return_lines_per_line(text: str):
+    """The return-file parser one line at a time, as a value list or the
+    (type, message) it raises: the reference for parse_return_lines."""
+    values = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            value = float(stripped)
+        except ValueError:
+            return DataFormatError, f"line {lineno}: unparsable return {stripped!r}"
+        if not math.isfinite(value):
+            return DataFormatError, f"line {lineno}: non-finite return {stripped!r}"
+        values.append(value)
+    return values or (EmptyInputError, "input contains no return values")
+
+
 class TestReturnLines:
     def test_round_trip(self):
         values = [0.01, -0.025, 3.5e-05, 0.0]
         assert parse_return_lines(returns_to_lines(values)) == values
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.01\n-0.02\n",
+            "0.01\n-0.02",
+            "0.01\n\n-0.02\n",
+            "0.01\n \t\n-0.02\n",
+            "\n0.01\n",
+            "0.01\r\n-0.02\r\n",
+            "0.01\r-0.02\r\n\r\n",
+            "0.01\x0b-0.02\x0c0.03\u2028-0.04\n",
+            "0.01\x0b\x0c\n",
+            "  0.01\t\n\t-0.02  \n",
+            "\xa00.01\u3000\n",
+            "1_0\n2_5e-3\n",
+            "_1\n",
+            "1__0\n",
+            "\u0661\u0662\n\uff10.\uff15\n",
+            "0.01\nnan\n",
+            "-inf\n0.01\n",
+            "0.01\n1e400\n",
+            "0.01\nInfinity\n",
+            "0.01 0.02\n",
+            "0.01\t0.02\n",
+            "0.01,0.02\n",
+            "0.01\nbogus\n",
+            "",
+            "\n\n",
+            " \t\r\n",
+        ],
+    )
+    def test_equals_per_line_reference(self, text):
+        try:
+            outcome = parse_return_lines(text)
+        except (DataFormatError, EmptyInputError) as exc:
+            outcome = type(exc), str(exc)
+        assert outcome == _return_lines_per_line(text)
+
+    def test_writer_equals_per_value_reference(self):
+        values = [*sample_laplace(500, LaplaceParams(mu=0.0, scale=0.006), 4), 0, -3, 0.1, -0.0]
+        text = returns_to_lines(values)
+        assert text == "\n".join(repr(float(v)) for v in values) + "\n"
+        assert parse_return_lines(text) == [float(v) for v in values]
 
     def test_blank_lines_skipped(self):
         assert parse_return_lines("0.01\n\n-0.02\n") == [0.01, -0.02]

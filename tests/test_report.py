@@ -6,6 +6,7 @@ import builtins
 import json
 import math
 import re
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -79,6 +80,107 @@ def _overlay_per_point(values):
         for x in sorted_x
     ]
 
+
+
+def _csv_per_point(rows):
+    """The ECDF table one f-string per row: the reference for render_ecdf_csv."""
+    lines = ["x,ecdf,normal_cdf,laplace_cdf"]
+    for x, e, fn, fl in rows:
+        lines.append(f"{x!r},{e!r},{fn!r},{fl!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _svg_per_point(rows, symbol):
+    """The ECDF figure with one f-string per pixel and per vertex: the
+    reference for render_ecdf_svg."""
+    width, height, left, right, top, bottom_margin = 720, 480, 72, 24, 42, 54
+    xs = [r[0] for r in rows]
+    lo, hi = min(xs), max(xs)
+    span = (hi - lo) or 1.0
+    lo -= 0.02 * span
+    hi += 0.02 * span
+    plot_w = width - left - right
+    plot_h = height - top - bottom_margin
+
+    def px(x):
+        return f"{left + plot_w * (x - lo) / (hi - lo):.2f}"
+
+    def py(q):
+        return f"{top + plot_h * (1.0 - q):.2f}"
+
+    bottom = py(0.0)
+    stair = [f"{px(rows[0][0])},{bottom}"]
+    previous = bottom
+    for x, e, _, _ in rows:
+        stair.append(f"{px(x)},{previous} {px(x)},{py(e)}")
+        previous = py(e)
+    curves = [
+        " ".join(stair),
+        " ".join(f"{px(r[0])},{py(r[2])}" for r in rows),
+        " ".join(f"{px(r[0])},{py(r[3])}" for r in rows),
+    ]
+    title = symbol.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    axis = "#444444"
+    x0, y0 = left, top + plot_h
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title}: empirical CDF vs fitted models</text>',
+        f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" stroke="{axis}"/>',
+        f'<line x1="{x0}" y1="{top}" x2="{x0}" y2="{y0}" stroke="{axis}"/>',
+    ]
+    for k in range(5):
+        x = lo + (hi - lo) * k / 4.0
+        parts.append(f'<line x1="{px(x)}" y1="{y0}" x2="{px(x)}" y2="{y0 + 5}" stroke="{axis}"/>')
+        parts.append(
+            f'<text x="{px(x)}" y="{y0 + 20}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{x:.4g}</text>'
+        )
+    for k in range(6):
+        q = k / 5.0
+        parts.append(f'<line x1="{x0 - 5}" y1="{py(q)}" x2="{x0}" y2="{py(q)}" stroke="{axis}"/>')
+        parts.append(
+            f'<text x="{x0 - 9}" y="{py(q)}" text-anchor="end" dominant-baseline="middle" '
+            f'font-family="sans-serif" font-size="11">{q:.1f}</text>'
+        )
+    parts.append(
+        f'<text x="{x0 + plot_w / 2:.0f}" y="{height - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">daily return</text>'
+    )
+    parts.append(
+        f'<text x="18" y="{top + plot_h / 2:.0f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 18 {top + plot_h / 2:.0f})">F(x)</text>'
+    )
+    style = (("empirical", "#222222"), ("normal fit", "#1f77b4"), ("laplace fit", "#d62728"))
+    for points, (_, color) in zip(curves, style):
+        parts.append(
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+    for i, (label, color) in enumerate(style):
+        ly = top + 10 + 18 * i
+        parts.append(
+            f'<line x1="{x0 + 14}" y1="{ly}" x2="{x0 + 40}" y2="{ly}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(
+            f'<text x="{x0 + 46}" y="{ly + 4}" font-family="sans-serif" '
+            f'font-size="12">{label}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _histogram_counts_per_point(values, bins):
+    """Bin counts one value at a time: the reference for histogram."""
+    lo, hi = min(values), max(values)
+    width = (hi - lo) / bins
+    counts = [0] * bins
+    for x in values:
+        counts[min(int((x - lo) / width), bins - 1)] += 1
+    return tuple(counts)
 
 class TestAnalyzeReturns:
     def test_field_contracts(self):
@@ -196,6 +298,20 @@ class TestHistogram:
             index = min(int((0.0 - hist.bin_edges[0]) / width), len(hist.counts) - 1)
             hits += hist.counts[index] == max(hist.counts)
         assert hits >= 95
+
+    @pytest.mark.parametrize("bins", (1, 7, 100))
+    def test_counts_equal_per_point_reference(self, bins):
+        for values in seeded_samples((5, 37, 1879)):
+            values = values + [max(values)] * 2  # x == hi at least three times
+            assert histogram(values, bins).counts == _histogram_counts_per_point(values, bins)
+
+    def test_index_past_last_bin_folds_into_it(self):
+        # the width rounds down to a subnormal, so (x - lo) / width reaches
+        # bins + 1 for the largest value, not only bins
+        values = [1e-321 * k for k in range(1, 10)] + [9e-321]
+        lo, hi = min(values), max(values)
+        assert int((hi - lo) / ((hi - lo) / 100)) == 101
+        assert histogram(values, 100).counts == _histogram_counts_per_point(values, 100)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -379,6 +495,26 @@ class TestEcdfOverlay:
         for cell_line in lines[1:]:
             cells = [float(cell) for cell in cell_line.split(",")]
             assert all(0.0 <= c <= 1.0 for c in cells[1:])
+
+    @pytest.mark.parametrize("n", (4, 5, 37, 1879, 50_000))
+    def test_renderers_equal_per_point_references(self, n):
+        for values in seeded_samples((n,)):
+            rows = ecdf_overlay(values)
+            assert render_ecdf_csv(rows) == _csv_per_point(rows)
+            for symbol in ("DEMO", "a<b&c>%s"):
+                assert render_ecdf_svg(rows, symbol) == _svg_per_point(rows, symbol)
+
+    def test_svg_peak_memory_bounded(self):
+        # printing each polyline from pixel floats holds about 3.2 times the
+        # document at its peak; a string per pixel value costs about 6
+        rows = ecdf_overlay(sample_laplace(50_000, STD_LAPLACE, 7))
+        tracemalloc.start()
+        try:
+            svg = render_ecdf_svg(rows, "MEM")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(svg)
 
     def test_svg_rendering(self):
         import xml.etree.ElementTree as ET
