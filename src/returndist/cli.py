@@ -178,11 +178,11 @@ def _run_sample(args: argparse.Namespace) -> int:
 
 def _run_ecdf(args: argparse.Namespace) -> int:
     symbol, values = _load_and_warn(args)
-    rows = ecdf_overlay(values)
+    columns = ecdf_overlay(values)
     if args.format == "csv":
-        rendered = render_ecdf_csv(rows)
+        rendered = render_ecdf_csv(columns)
     else:
-        rendered = render_ecdf_svg(rows, symbol)
+        rendered = render_ecdf_svg(columns, symbol)
     _write_output(args, rendered)
     return EXIT_OK
 

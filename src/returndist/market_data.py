@@ -279,4 +279,4 @@ def parse_return_lines(text: str) -> list[float]:
 
 def returns_to_lines(values: Sequence[float]) -> str:
     """Serialize returns one value per line, full float precision."""
-    return "\n".join(map(repr, map(float, values))) + "\n"
+    return "%r\n" * len(values) % tuple(map(float, values))

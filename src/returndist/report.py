@@ -162,33 +162,35 @@ def render_histogram_json(symbol: str, hist: HistogramData) -> str:
     return json.dumps(payload, indent=2, allow_nan=False)
 
 
-def ecdf_overlay(values: Sequence[float]) -> list[tuple[float, float, float, float]]:
-    """Rows (x, ecdf, normal_cdf, laplace_cdf) at each sorted value, with
-    both families fitted to the sample."""
+def ecdf_overlay(values: Sequence[float]) -> tuple[list[float], ...]:
+    """The columns (x, ecdf, normal_cdf, laplace_cdf) at each sorted value,
+    with both families fitted to the sample."""
     sorted_x, fits = _fits(_centred(sorted(values), 4, "fit comparison"))
     n = len(sorted_x)
     # (#points <= x) / n: the rank of the last member of x's run of ties,
     # carried down each run from its end
-    ecdf_values = _ecdf_steps(n)
-    del ecdf_values[0]
+    ecdf_values = _ecdf_steps(n)[1:]
     for i in reversed(list(compress(range(n - 1), map(eq, sorted_x, islice(sorted_x, 1, None))))):
         ecdf_values[i] = ecdf_values[i + 1]
-    return list(zip(sorted_x, ecdf_values, *(cdfs(sorted_x, params) for _, params, cdfs, _ in fits)))
+    return (sorted_x, ecdf_values, *(cdfs(sorted_x, params) for _, params, cdfs, _ in fits))
 
 
-def render_ecdf_csv(rows: Sequence[tuple[float, float, float, float]]) -> str:
+def render_ecdf_csv(columns: Sequence[Sequence[float]]) -> str:
     # %r is repr, as f"{x!r}" is: one format call for the whole table
-    return "x,ecdf,normal_cdf,laplace_cdf\n" + "%r,%r,%r,%r\n" * len(rows) % tuple(
-        chain.from_iterable(rows)
+    return "x,ecdf,normal_cdf,laplace_cdf\n" + "%r,%r,%r,%r\n" * len(columns[0]) % tuple(
+        chain.from_iterable(zip(*columns))
     )
 
 
 _SVG_WIDTH = 720
 _SVG_HEIGHT = 480
 _MARGIN_LEFT = 72
-_MARGIN_RIGHT = 24
 _MARGIN_TOP = 42
-_MARGIN_BOTTOM = 54
+_PLOT_W = _SVG_WIDTH - _MARGIN_LEFT - 24  # less the right margin
+_PLOT_H = _SVG_HEIGHT - _MARGIN_TOP - 54  # less the bottom margin
+_X0, _Y0 = _MARGIN_LEFT, _MARGIN_TOP + _PLOT_H  # where the axes meet
+_AXIS = 'stroke="#444444"'
+_FONT = 'font-family="sans-serif"'
 
 _SERIES_STYLE = (
     ("empirical", "#222222"),
@@ -196,107 +198,87 @@ _SERIES_STYLE = (
     ("laplace fit", "#d62728"),
 )
 
+# the title as XML text: &, < and > escaped, and U+FFFD for each character XML 1.0
+# forbids: C0 controls other than tab, LF and CR, U+FFFE, U+FFFF and the surrogates
+_XML_TEXT = {"&": "&amp;", "<": "&lt;", ">": "&gt;"} | dict.fromkeys(
+    map(chr, (*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF)), "\ufffd"
+)
 
-def render_ecdf_svg(rows: Sequence[tuple[float, float, float, float]], symbol: str) -> str:
+
+def _py(values: Sequence[float]) -> list[float]:
+    # the pixel y of each level q, as floats printed .2f
+    return [_MARGIN_TOP + _PLOT_H * (1.0 - q) for q in values]
+
+
+# the figure less its data, which fills the % slots: title, x ticks and the curves' points
+_SVG_TEMPLATE = "\n".join((
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
+    f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+    f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
+    f'<text x="{_SVG_WIDTH / 2:.0f}" y="24" text-anchor="middle" {_FONT} '
+    'font-size="15">%s: empirical CDF vs fitted models</text>',
+    f'<line x1="{_X0}" y1="{_Y0}" x2="{_X0 + _PLOT_W}" y2="{_Y0}" {_AXIS}/>',
+    f'<line x1="{_X0}" y1="{_MARGIN_TOP}" x2="{_X0}" y2="{_Y0}" {_AXIS}/>',
+    *(  # each x tick: its pixel x three times, then its label
+        f'<line x1="%.2f" y1="{_Y0}" x2="%.2f" y2="{_Y0 + 5}" {_AXIS}/>\n'
+        f'<text x="%.2f" y="{_Y0 + 20}" text-anchor="middle" {_FONT} font-size="11">%.4g</text>',
+    ) * 5,
+    *(
+        f'<line x1="{_X0 - 5}" y1="{sy:.2f}" x2="{_X0}" y2="{sy:.2f}" {_AXIS}/>\n'
+        f'<text x="{_X0 - 9}" y="{sy:.2f}" text-anchor="end" dominant-baseline="middle" '
+        f'{_FONT} font-size="11">{k / 5.0:.1f}</text>'
+        for k, sy in enumerate(_py([k / 5.0 for k in range(6)]))
+    ),
+    f'<text x="{_X0 + _PLOT_W / 2:.0f}" y="{_SVG_HEIGHT - 12}" text-anchor="middle" '
+    f'{_FONT} font-size="12">daily return</text>',
+    f'<text x="18" y="{_MARGIN_TOP + _PLOT_H / 2:.0f}" text-anchor="middle" '
+    f'{_FONT} font-size="12" transform="rotate(-90 18 {_MARGIN_TOP + _PLOT_H / 2:.0f})">'
+    "F(x)</text>",
+    *(
+        f'<polyline points="%s" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        for _, color in _SERIES_STYLE
+    ),
+    *(
+        f'<line x1="{_X0 + 14}" y1="{ly}" x2="{_X0 + 40}" y2="{ly}" '
+        f'stroke="{color}" stroke-width="2"/>\n'
+        f'<text x="{_X0 + 46}" y="{ly + 4}" {_FONT} font-size="12">{label}</text>'
+        for ly, (label, color) in zip(range(_MARGIN_TOP + 10, _SVG_HEIGHT, 18), _SERIES_STYLE)
+    ),
+    "</svg>\n",
+))
+
+
+def render_ecdf_svg(columns: Sequence[Sequence[float]], symbol: str) -> str:
     """Standalone SVG: ECDF staircase plus both fitted CDF curves."""
-    xs = [r[0] for r in rows]
-    lo, hi = min(xs), max(xs)
-    span = (hi - lo) or 1.0
-    lo -= 0.02 * span
-    hi += 0.02 * span
+    lo, hi = min(columns[0]), max(columns[0])
+    pad = 0.02 * ((hi - lo) or 1.0)
+    lo, hi = lo - pad, hi + pad
 
-    plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-
-    # pixel coordinates as floats, printed .2f
     def px(values: Sequence[float]) -> list[float]:
-        return [_MARGIN_LEFT + plot_w * (x - lo) / (hi - lo) for x in values]
+        return [_MARGIN_LEFT + _PLOT_W * (x - lo) / (hi - lo) for x in values]
 
-    def py(values: Sequence[float]) -> list[float]:
-        return [_MARGIN_TOP + plot_h * (1.0 - q) for q in values]
-
-    title = symbol.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
-        f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
-        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
-        f'<text x="{_SVG_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}: empirical CDF vs fitted models</text>',
-    ]
-    axis_color = "#444444"
-    x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" stroke="{axis_color}"/>'
-    )
-    parts.append(f'<line x1="{x0}" y1="{_MARGIN_TOP}" x2="{x0}" y2="{y0}" stroke="{axis_color}"/>')
     x_ticks = [lo + (hi - lo) * k / 4.0 for k in range(5)]
-    for x, sx in zip(x_ticks, px(x_ticks)):
-        parts.append(
-            f'<line x1="{sx:.2f}" y1="{y0}" x2="{sx:.2f}" y2="{y0 + 5}" stroke="{axis_color}"/>'
-        )
-        parts.append(
-            f'<text x="{sx:.2f}" y="{y0 + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{x:.4g}</text>'
-        )
-    y_ticks = [k / 5.0 for k in range(6)]
-    for q, sy in zip(y_ticks, py(y_ticks)):
-        parts.append(
-            f'<line x1="{x0 - 5}" y1="{sy:.2f}" x2="{x0}" y2="{sy:.2f}" stroke="{axis_color}"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 9}" y="{sy:.2f}" text-anchor="end" dominant-baseline="middle" '
-            f'font-family="sans-serif" font-size="11">{q:.1f}</text>'
-        )
-    parts.append(
-        f'<text x="{x0 + plot_w / 2:.0f}" y="{_SVG_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">daily return</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.0f})">F(x)</text>'
-    )
+    ticks = [v for x, sx in zip(x_ticks, px(x_ticks)) for v in (sx, sx, sx, x)]
+    title = "".join("\ufffd" if "\ud800" <= c <= "\udfff" else _XML_TEXT.get(c, c) for c in symbol)
 
     def polylines() -> Iterator[str]:
-        """Each curve as one polyline element, printed by one % call over its
-        pixel floats: no string is made per value."""
-        n = len(rows)
-        x_pixels = px(xs)
-        (bottom,) = py((0.0,))
-        for k, (_, color) in enumerate(_SERIES_STYLE, start=1):
-            y = py([r[k] for r in rows])
-            if k == 1:
-                # staircase for the empirical CDF: after (x0, bottom), each step
+        """Each curve's points, printed by one % call over its pixel floats:
+        no string is made per value."""
+        x_pixels = px(columns[0])
+        for k, y in enumerate(map(_py, columns[1:])):
+            if k == 0:
+                # staircase for the empirical CDF: after (first x, x axis), each step
                 # rises from the previous level: (x, previous y), (x, y)
-                formats = chain(("%.2f,%.2f",), repeat("%.2f,%.2f %.2f,%.2f", n))
-                values = [x_pixels[0], bottom, 0.0, bottom] + [0.0] * (4 * n - 2)
+                values = [x_pixels[0], _Y0, 0.0, _Y0] + [0.0] * (4 * len(y) - 2)
                 values[2::4] = values[4::4] = x_pixels
                 values[5::4] = y
                 values[7::4] = y[:-1]
             else:
-                formats = repeat("%.2f,%.2f", n)
-                values = [0.0] * (2 * n)
+                values = [0.0] * (2 * len(y))
                 values[0::2], values[1::2] = x_pixels, y
             values = tuple(values)  # the list is freed before the text is printed
-            yield (
-                f'<polyline points="{" ".join(formats)}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"/>' % values
-            )
+            yield " ".join(repeat("%.2f,%.2f", len(values) // 2)) % values
 
-    # the pixel lists die with the generator, before the document is joined:
+    # the pixel lists die with the generator, before the document is printed:
     # bounds peak memory
-    parts.extend(polylines())
-    legend_x = x0 + 14
-    legend_y = _MARGIN_TOP + 10
-    for i, (label, color) in enumerate(_SERIES_STYLE):
-        ly = legend_y + 18 * i
-        parts.append(
-            f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 26}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 32}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
-    parts += "</svg>", ""  # the empty part ends the file with a newline, without a copy
-    return "\n".join(parts)
+    return _SVG_TEMPLATE % (title, *ticks, *polylines())

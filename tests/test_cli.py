@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -210,14 +211,26 @@ class TestEcdfCommand:
         assert ecdf_col[-1] == 1.0
 
     def test_svg_output(self, laplace_csv, tmp_path):
-        import xml.etree.ElementTree as ET
-
         out = tmp_path / "curves.svg"
         assert main([
             "ecdf", "--input", str(laplace_csv), "--format", "svg", "--output", str(out),
         ]) == 0
         root = ET.fromstring(out.read_text())
         assert root.tag.endswith("svg")
+
+    @pytest.mark.parametrize("name", ("a\x01b.txt", os.fsdecode(b"x\xffy.txt")))
+    def test_svg_title_with_characters_xml_forbids(self, name, tmp_path):
+        # the symbol comes from the file name; what XML cannot hold becomes U+FFFD
+        path = tmp_path / name
+        path.write_text("0.01\n-0.02\n0.03\n0.005\n-0.01\n", encoding="utf-8")
+        out = tmp_path / "curves.svg"
+        assert main([
+            "ecdf", "--input", str(path), "--returns-only", "--format", "svg",
+            "--output", str(out),
+        ]) == 0
+        root = ET.fromstring(out.read_bytes())
+        title = root.find("{http://www.w3.org/2000/svg}text").text
+        assert title == f"{name[0]}\ufffd{name[2]}: empirical CDF vs fitted models"
 
     def test_three_returns_exit_2(self, tmp_path, capsys):
         path = tmp_path / "three.txt"
@@ -381,17 +394,31 @@ def test_fuzzed_input_never_escapes(tmp_path, capsys):
         else:
             data = mutate(valid, rng)
         path.write_bytes(data)
+        ecdf_format = ("csv", "svg")[case % 2]
         for command in ("analyze", "ecdf", "hist"):
             argv = [command, "--input", str(path)]
             if command != "analyze":
                 argv += ["--output", str(out)]
+            if command == "ecdf":
+                argv += ["--format", ecdf_format]
             code = main(argv)
             captured = capsys.readouterr()
             assert code in (0, 2, 3), (case, command, data, captured.err)
             assert "Traceback" not in captured.err
-            if code == 0 and command != "ecdf":
+            if code != 0:
+                continue
+            if command != "ecdf":
                 text = captured.out if command == "analyze" else out.read_text()
                 json.loads(text, parse_constant=_reject_constant)
+            elif ecdf_format == "svg":
+                root = ET.fromstring(out.read_bytes())
+                assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 3
+            else:
+                lines = out.read_text().splitlines()
+                assert lines[0] == "x,ecdf,normal_cdf,laplace_cdf"
+                for line in lines[1:]:
+                    cells = list(map(float, line.split(",")))
+                    assert len(cells) == 4 and all(map(math.isfinite, cells)), (case, line)
 
 
 def test_cli_imports_only_stdlib():

@@ -460,6 +460,10 @@ class TestReturnLines:
         assert text == "\n".join(repr(float(v)) for v in values) + "\n"
         assert parse_return_lines(text) == [float(v) for v in values]
 
+    def test_writer_of_no_values_is_empty(self):
+        # no values, no lines
+        assert returns_to_lines([]) == ""
+
     def test_blank_lines_skipped(self):
         assert parse_return_lines("0.01\n\n-0.02\n") == [0.01, -0.02]
 

@@ -8,6 +8,7 @@ import math
 import re
 import tracemalloc
 from bisect import bisect_right
+from operator import sub
 
 import pytest
 
@@ -447,7 +448,9 @@ class TestCentredSample:
 class TestEcdfOverlay:
     def test_equals_per_point_reference(self):
         for values in seeded_samples((4, 5, 37, 1879)):
-            assert ecdf_overlay(values) == _overlay_per_point(values)
+            columns = ecdf_overlay(values)
+            assert all(type(column) is list for column in columns)
+            assert list(zip(*columns)) == _overlay_per_point(values)
 
     def test_no_log_likelihood_pass(self, monkeypatch):
         # one mean, one sum of squares and the Laplace fit's |x - mu|: the
@@ -467,27 +470,28 @@ class TestEcdfOverlay:
         assert sorted(summed[1]) == sorted((x - mean) * (x - mean) for x in values)
 
     def test_row_contract(self):
+        # four columns, one row per value: x ascending, the ECDF rising to 1
         values = sample_laplace(400, STD_LAPLACE, 91)
-        rows = ecdf_overlay(values)
-        assert len(rows) == len(values)
-        ecdf_column = [r[1] for r in rows]
+        columns = ecdf_overlay(values)
+        assert len(columns) == 4
+        assert [len(column) for column in columns] == [len(values)] * 4
+        x, ecdf_column, _, _ = columns
         assert ecdf_column == sorted(ecdf_column)
         assert ecdf_column[-1] == 1.0
-        assert [r[0] for r in rows] == sorted(values)
+        assert x == sorted(values)
 
     def test_laplace_curve_closer_on_laplace_data(self):
         wins = 0
         for seed in range(100):
-            rows = ecdf_overlay(sample_laplace(1879, STD_LAPLACE, 60_000 + seed))
-            gap_normal = max(abs(e - fn) for _, e, fn, _ in rows)
-            gap_laplace = max(abs(e - fl) for _, e, _, fl in rows)
+            _, e, fn, fl = ecdf_overlay(sample_laplace(1879, STD_LAPLACE, 60_000 + seed))
+            gap_normal = max(map(abs, map(sub, e, fn)))
+            gap_laplace = max(map(abs, map(sub, e, fl)))
             wins += gap_laplace < gap_normal
         assert wins >= 95
 
     def test_csv_rendering(self):
         values = sample_normal(50, STD_NORMAL, 2)
-        rows = ecdf_overlay(values)
-        lines = render_ecdf_csv(rows).splitlines()
+        lines = render_ecdf_csv(ecdf_overlay(values)).splitlines()
         assert lines[0] == "x,ecdf,normal_cdf,laplace_cdf"
         assert len(lines) == 51
         first = [float(cell) for cell in lines[1].split(",")]
@@ -499,18 +503,26 @@ class TestEcdfOverlay:
     @pytest.mark.parametrize("n", (4, 5, 37, 1879, 50_000))
     def test_renderers_equal_per_point_references(self, n):
         for values in seeded_samples((n,)):
-            rows = ecdf_overlay(values)
-            assert render_ecdf_csv(rows) == _csv_per_point(rows)
+            columns = ecdf_overlay(values)
+            rows = list(zip(*columns))
+            assert render_ecdf_csv(columns) == _csv_per_point(rows)
             for symbol in ("DEMO", "a<b&c>%s"):
-                assert render_ecdf_svg(rows, symbol) == _svg_per_point(rows, symbol)
+                assert render_ecdf_svg(columns, symbol) == _svg_per_point(rows, symbol)
+
+    def test_svg_title_replaces_only_characters_xml_forbids(self):
+        columns = ecdf_overlay(sample_normal(20, STD_NORMAL, 3))
+        kept = "\t\x7f\xe9\u20ac\ud7ff\ue000\ufffd\U0001f600\U0010ffff"
+        forbidden = "\x00\x08\x0b\x0c\x1f\ud800\udfff\ufffe\uffff"
+        expected = _svg_per_point(list(zip(*columns)), kept + "\ufffd" * len(forbidden))
+        assert render_ecdf_svg(columns, kept + forbidden) == expected
 
     def test_svg_peak_memory_bounded(self):
-        # printing each polyline from pixel floats holds about 3.2 times the
+        # printing each polyline from pixel floats holds about 3.0 times the
         # document at its peak; a string per pixel value costs about 6
-        rows = ecdf_overlay(sample_laplace(50_000, STD_LAPLACE, 7))
+        columns = ecdf_overlay(sample_laplace(50_000, STD_LAPLACE, 7))
         tracemalloc.start()
         try:
-            svg = render_ecdf_svg(rows, "MEM")
+            svg = render_ecdf_svg(columns, "MEM")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -520,10 +532,10 @@ class TestEcdfOverlay:
         import xml.etree.ElementTree as ET
 
         values = sample_normal(80, STD_NORMAL, 3)
-        rows = ecdf_overlay(values)
+        columns = ecdf_overlay(values)
         ns = "{http://www.w3.org/2000/svg}"
         for symbol in ("DEMO", "a<b&c"):
-            svg = render_ecdf_svg(rows, symbol)
+            svg = render_ecdf_svg(columns, symbol)
             root = ET.fromstring(svg)
             assert root.tag == f"{ns}svg"
             polylines = root.findall(f"{ns}polyline")
