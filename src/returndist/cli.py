@@ -140,10 +140,8 @@ def _load_and_warn(args: argparse.Namespace) -> tuple[str, Sequence[float]]:
 def _run_analyze(args: argparse.Namespace) -> int:
     symbol, values, warnings = _load_returns(args)
     report = analyze_returns(values, symbol, warnings)
-    if args.format == "json":
-        print(render_report_json(report))
-    else:
-        print(render_report_markdown(report))
+    render = render_report_json if args.format == "json" else render_report_markdown
+    print(render(report))
     return EXIT_OK
 
 

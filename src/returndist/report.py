@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from itertools import chain, compress, islice, repeat
@@ -56,24 +57,21 @@ def analyze_returns(
             f"shapiro-wilk: n={sw.n} exceeds the validated range "
             f"(n <= {ROYSTON_MAX_VALIDATED_N}); p-value approximation untested"
         )
-    return AnalysisReport(
-        symbol=symbol,
-        n=moments.n,
-        skew=moments.skew,
-        excess_kurtosis=moments.excess_kurtosis,
-        shapiro_w=sw.w,
-        shapiro_p=sw.p_value,
-        normal_fit=gof.normal.params,
-        laplace_fit=gof.laplace.params,
-        ks_normal=gof.normal.ks_distance,
-        ks_laplace=gof.laplace.ks_distance,
-        log_lik_normal=gof.normal.log_likelihood,
-        log_lik_laplace=gof.laplace.log_likelihood,
-        aic_normal=gof.normal.aic,
-        aic_laplace=gof.laplace.aic,
-        better_fit=gof.better_fit,
-        warnings=tuple(all_warnings),
-    )
+    fields = {
+        "symbol": symbol,
+        "n": moments.n,
+        "skew": moments.skew,
+        "excess_kurtosis": moments.excess_kurtosis,
+        "shapiro_w": sw.w,
+        "shapiro_p": sw.p_value,
+    }
+    for score in (gof.normal, gof.laplace):
+        family = score.family
+        fields[f"{family}_fit"] = score.params
+        fields[f"ks_{family}"] = score.ks_distance
+        fields[f"log_lik_{family}"] = score.log_likelihood
+        fields[f"aic_{family}"] = score.aic
+    return AnalysisReport(**fields, better_fit=gof.better_fit, warnings=tuple(all_warnings))
 
 
 _NESTED = {"normal_fit": NormalParams, "laplace_fit": LaplaceParams}
@@ -94,45 +92,53 @@ def report_from_dict(payload: dict) -> AnalysisReport:
     return AnalysisReport(**values)
 
 
+def _render_json(payload: dict) -> str:
+    """Indented JSON; a NaN or an infinity, as a float or in a tuple, raises naming its field."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        for name, value in payload.items():
+            items = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(x) for x in items if isinstance(x, float)):
+                raise ValueError(f"{name} is not finite; rescale the sample") from None
+        raise
+
+
 def render_report_json(report: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, allow_nan=False)
+    return _render_json(report_to_dict(report))
 
 
-def _fmt6(value: float) -> str:
-    return f"{value:.6g}"
+def _text(value: str, escapes: dict[str, str]) -> str:
+    """value with each character mapped by escapes, and U+FFFD for each lone
+    surrogate (an undecodable byte of a file name), which UTF-8 cannot encode."""
+    return "".join("\ufffd" if "\ud800" <= c <= "\udfff" else escapes.get(c, c) for c in value)
 
 
 def render_report_markdown(report: AnalysisReport) -> str:
-    rows = []
-    for name, value in report._asdict().items():
-        if name in _NESTED:
-            prefix = name.removesuffix("_fit")
-            rows.extend(
-                (f"{prefix}_{param}", _fmt6(param_value))
-                for param, param_value in value._asdict().items()
-            )
-        elif name != "warnings":
-            # a bare | in a cell would start a new column
-            cell = _fmt6(value) if isinstance(value, float) else str(value).replace("|", r"\|")
-            rows.append((name, cell))
+    payload = report_to_dict(report)
+    warnings = payload.pop("warnings")
+    rows = [("metric", "value")]
+    for name, value in payload.items():
+        if isinstance(value, dict):  # a family's params, a row each
+            family = name.removesuffix("_fit")
+            rows.extend((f"{family}_{param}", f"{v:.6g}") for param, v in value.items())
+        elif isinstance(value, float):
+            rows.append((name, f"{value:.6g}"))
+        else:  # a bare | in a cell would start a new column
+            rows.append((name, _text(str(value), {"|": r"\|"})))
     key_width = max(len(k) for k, _ in rows)
-    value_width = max(max(len(v) for _, v in rows), len("value"))
-    lines = [
-        f"| {'metric'.ljust(key_width)} | {'value'.rjust(value_width)} |",
-        f"|:{'-' * key_width}-|-{'-' * value_width}:|",
-    ]
-    for key, value in rows:
-        lines.append(f"| {key.ljust(key_width)} | {value.rjust(value_width)} |")
-    for warning in report.warnings:
-        lines.append(f"- warning: {warning}")
-    return "\n".join(lines)
+    value_width = max(len(v) for _, v in rows)
+    lines = [f"| {k.ljust(key_width)} | {v.rjust(value_width)} |" for k, v in rows]
+    lines.insert(1, f"|:{'-' * key_width}-|-{'-' * value_width}:|")
+    return "\n".join(lines + [f"- warning: {w}" for w in warnings])
 
 
 def histogram(values: Sequence[float], bins: int) -> HistogramData:
     """Equal-width histogram over [min, max], densities integrating to 1.
 
-    A degenerate range (all values equal) becomes a single bin of
-    nominal width 1 centered on the value.
+    A degenerate range (all values equal) becomes a single bin centred on the
+    value, of half-width max(0.5, ulp(value)): 0.5 unless |value| >= 2^52, where
+    value ± 0.5 would round onto it. A bin width of 0 or inf raises DomainError.
     """
     if bins < 1:
         raise DomainError(f"bin count must be >= 1, got {bins}")
@@ -141,25 +147,25 @@ def histogram(values: Sequence[float], bins: int) -> HistogramData:
         raise InsufficientDataError("histogram needs a non-empty sample")
     lo, hi = min(values), max(values)
     if lo == hi:
-        edges = (lo - 0.5, lo + 0.5)
+        half = max(0.5, math.ulp(lo))
+        edges = (lo - half, lo + half)
         counts = [n]
     else:
         width = (hi - lo) / bins
+        if not 0.0 < width < math.inf:
+            raise DomainError(f"cannot cut [{lo!r}, {hi!r}] into {bins} bins in float64")
         edges = tuple(lo + i * width for i in range(bins)) + (hi,)
         # bin index of each value; an index past the last bin (x == hi, or values
         # near hi when a subnormal width rounds down) folds into the last bin
         tally = Counter(map(int, map(truediv, map(sub, values, repeat(lo)), repeat(width))))
         counts = list(map(tally.__getitem__, range(bins)))
         counts[-1] += n - sum(counts)
-    densities = tuple(
-        count / (n * (edges[i + 1] - edges[i])) for i, count in enumerate(counts)
-    )
+    densities = tuple(count / (n * (b - a)) for count, a, b in zip(counts, edges, edges[1:]))
     return HistogramData(bin_edges=edges, counts=tuple(counts), densities=densities)
 
 
 def render_histogram_json(symbol: str, hist: HistogramData) -> str:
-    payload = {"symbol": symbol, "n": sum(hist.counts), **hist._asdict()}
-    return json.dumps(payload, indent=2, allow_nan=False)
+    return _render_json({"symbol": symbol, "n": sum(hist.counts), **hist._asdict()})
 
 
 def ecdf_overlay(values: Sequence[float]) -> tuple[list[float], ...]:
@@ -259,7 +265,7 @@ def render_ecdf_svg(columns: Sequence[Sequence[float]], symbol: str) -> str:
 
     x_ticks = [lo + (hi - lo) * k / 4.0 for k in range(5)]
     ticks = [v for x, sx in zip(x_ticks, px(x_ticks)) for v in (sx, sx, sx, x)]
-    title = "".join("\ufffd" if "\ud800" <= c <= "\udfff" else _XML_TEXT.get(c, c) for c in symbol)
+    title = _text(symbol, _XML_TEXT)
 
     def polylines() -> Iterator[str]:
         """Each curve's points, printed by one % call over its pixel floats:

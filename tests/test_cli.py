@@ -15,7 +15,7 @@ import pytest
 import returndist
 from returndist.cli import main
 from returndist.distfit import LaplaceParams, Xoshiro256PlusPlus, sample_laplace
-from returndist.market_data import OHLCV_HEADER
+from returndist.market_data import OHLCV_HEADER, returns_to_lines
 
 from conftest import mutate, ohlcv_csv_from_returns
 
@@ -122,6 +122,21 @@ class TestAnalyze:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
         assert main(["analyze", "--input", str(path)]) == 2
+
+    def test_markdown_with_undecodable_file_name(self, tmp_path):
+        # the byte 0xff is not UTF-8: the symbol holds a lone surrogate, shown as U+FFFD
+        path = tmp_path / os.fsdecode(b"x\xffy.txt")
+        path.write_text("0.01\n-0.02\n0.03\n0.005\n-0.01\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "returndist", "analyze", "--input", str(path),
+             "--returns-only", "--format", "markdown"],
+            env={**os.environ, "PYTHONPATH": str(Path(returndist.__file__).parent.parent),
+                 "PYTHONIOENCODING": "utf-8"},
+            capture_output=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        row = next(line for line in proc.stdout.splitlines() if line.startswith(b"| symbol "))
+        assert row.split(b"|")[2].strip() == "x\ufffdy".encode("utf-8")
 
     def test_constant_returns_exit_3(self, tmp_path, capsys):
         path = tmp_path / "flat.txt"
@@ -381,6 +396,42 @@ def test_underflowing_squares_exit_3_with_their_cause(command, exponent, tmp_pat
 
 def _reject_constant(name: str) -> None:
     raise AssertionError(f"{name} in JSON output")
+
+
+def _scaled_laplace_returns() -> dict[int, list[float]]:
+    """The paper-sized Laplace returns times 2^k, for each k whose values are all finite."""
+    returns = sample_laplace(1879, LaplaceParams(mu=0.0, scale=0.006), 7)
+    scaled = {}
+    for k in (*range(-1080, 1030, 13), -1066, -1059, 278):
+        try:
+            scaled[k] = [math.ldexp(r, k) for r in returns]
+        except OverflowError:
+            continue
+    return scaled
+
+
+@pytest.mark.parametrize("command", ("analyze", "hist"))
+def test_power_of_two_scales_end_in_json_or_one_line(command, tmp_path, capsys):
+    # a float64 limit reached in the report or the histogram is one named error
+    # line; analyze's own overflow and underflow messages are not pinned here
+    path = tmp_path / "scaled.txt"
+    out = tmp_path / "hist.json"
+    for k, values in _scaled_laplace_returns().items():
+        path.write_text(returns_to_lines(values), encoding="utf-8")
+        argv = [command, "--input", str(path), "--returns-only"]
+        if command == "hist":
+            argv += ["--output", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 3), (k, captured.err)
+        if code == 3:
+            err = captured.err
+            assert err.count("\n") == 1 and err.startswith("returndist: error: "), (k, err)
+            assert "JSON compliant" not in err and "cannot convert float" not in err, (k, err)
+            assert command == "analyze" or "division by zero" not in err, (k, err)
+            continue
+        text = captured.out if command == "analyze" else out.read_text()
+        json.loads(text, parse_constant=_reject_constant)
 
 
 def test_fuzzed_input_never_escapes(tmp_path, capsys):

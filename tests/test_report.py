@@ -37,6 +37,7 @@ from returndist.report import (
     histogram,
     render_ecdf_csv,
     render_ecdf_svg,
+    render_histogram_json,
     render_report_json,
     render_report_markdown,
     report_from_dict,
@@ -254,6 +255,23 @@ class TestAnalyzeReturns:
         with pytest.raises(ValueError):
             render_report_json(report)
 
+    @pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+    @pytest.mark.parametrize("field", ("skew", "excess_kurtosis", "shapiro_p", "aic_laplace"))
+    def test_json_names_the_non_finite_field(self, field, value):
+        payload = report_to_dict(sample_report())
+        # a later field that is not finite either: the first one is named
+        report = report_from_dict({**payload, field: value, "ks_laplace": math.nan})
+        name = "ks_laplace" if field == "aic_laplace" else field
+        with pytest.raises(ValueError, match=f"^{name} is not finite; rescale the sample$"):
+            render_report_json(report)
+
+    def test_markdown_replaces_lone_surrogates(self):
+        # an undecodable byte of a file name reaches the symbol as a lone surrogate
+        report = analyze_returns(sample_laplace(50, STD_LAPLACE, 4), "a\udcffb|c")
+        markdown = render_report_markdown(report)
+        assert markdown.splitlines()[2].split()[3] == "a\ufffdb\\|c"
+        markdown.encode("utf-8")
+
 
 class TestHistogram:
     def test_counts_partition_sample(self):
@@ -313,6 +331,44 @@ class TestHistogram:
         lo, hi = min(values), max(values)
         assert int((hi - lo) / ((hi - lo) / 100)) == 101
         assert histogram(values, 100).counts == _histogram_counts_per_point(values, 100)
+
+    @pytest.mark.parametrize(
+        "values, bins, shown",
+        [
+            ([-1e308, 1e308, 0.0], 100, "[-1e+308, 1e+308] into 100 bins"),  # width inf
+            ([-1e308, 1e308], 1, "[-1e+308, 1e+308] into 1 bins"),
+            ([-5e-324, 5e-324, 0.0], 100, "[-5e-324, 5e-324] into 100 bins"),  # width 0
+        ],
+    )
+    def test_range_float64_cannot_bin(self, values, bins, shown):
+        with pytest.raises(DomainError, match=re.escape(shown)):
+            histogram(values, bins)
+
+    @pytest.mark.parametrize(
+        "value, half",
+        [
+            (2.0**52 - 1.0, 0.5),
+            (2.0**52, 1.0),
+            (1e16, 2.0),
+            (-1e16, 2.0),
+            (1e300, math.ulp(1e300)),
+            (-1e300, math.ulp(1e300)),
+        ],
+    )
+    def test_degenerate_range_half_width(self, value, half):
+        # from 2^52 on, value ± 0.5 rounds onto the value: the bin is one ulp either side
+        hist = histogram([value] * 3, 1)
+        assert hist.bin_edges == (value - half, value + half)
+        assert hist.bin_edges[0] < value < hist.bin_edges[1]
+        assert hist.counts == (3,)
+        assert math.isfinite(hist.densities[0])
+
+    def test_json_names_overflowing_densities(self):
+        # the bin width is subnormal, so every density overflows to inf
+        hist = histogram([1e-320, 2e-320, 3e-320], 100)
+        assert math.inf in hist.densities
+        with pytest.raises(ValueError, match="^densities is not finite; rescale the sample$"):
+            render_histogram_json("TINY", hist)
 
     def test_validation(self):
         with pytest.raises(DomainError):
