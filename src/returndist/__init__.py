@@ -9,7 +9,6 @@ from .distfit import (
     fit_laplace,
     fit_normal,
     laplace_cdf,
-    laplace_pdf,
     laplace_quantile,
     median,
     normal_cdf,

@@ -1,6 +1,6 @@
 """Normal and Laplace distribution primitives.
 
-Density, CDF, and quantile evaluation, parameter fitting, and seeded
+CDF and quantile evaluation, parameter fitting, and seeded
 sampling. Everything here is self-contained: uniforms come from a
 xoshiro256++ generator seeded through splitmix64, normals from the
 Marsaglia polar method, Laplace variates from the inverse transform,
@@ -88,10 +88,6 @@ def _fit_normal(centred: tuple) -> NormalParams:
 def fit_normal(sample: Sequence[float]) -> NormalParams:
     """ML fit: sample mean and population (biased) standard deviation."""
     return _fit_normal(_centred(sample, 2, "normal fit"))
-
-
-def laplace_pdf(x: float, p: LaplaceParams) -> float:
-    return math.exp(-abs(x - p.mu) / p.scale) / (2.0 * p.scale)
 
 
 def _laplace_cdfs(xs: Iterable[float], p: LaplaceParams) -> list[float]:
@@ -246,13 +242,6 @@ class Xoshiro256PlusPlus:
     def _floats(self, count: int) -> list[float]:
         """The next count uniforms on the open interval (0, 1), 53-bit resolution."""
         return [((w >> 11) + 0.5) * 2.0**-53 for w in self._words(count)]
-
-    def next_uint64(self) -> int:
-        return self._words(1)[0]
-
-    def next_float(self) -> float:
-        """Uniform on the open interval (0, 1), 53-bit resolution."""
-        return self._floats(1)[0]
 
 
 def sample_laplace(n: int, p: LaplaceParams, seed: int) -> list[float]:

@@ -30,14 +30,23 @@ class MomentsReport(Record):
 
 
 def _centred(sample: Sequence[float], min_n: int, what: str) -> tuple:
-    """(sample, n, fsum mean, deviations x - mean in sample order, fsum(d*d))."""
+    """(sample, n, fsum mean, deviations x - mean in sample order, fsum(d*d)).
+
+    A sample whose variance, fsum(d*d) / n, overflows, or is 0 without the
+    sample being constant, is refused here with its cause named."""
     n = len(sample)
     if n < min_n:
         raise InsufficientDataError(f"{what} needs n >= {min_n}, got {n}")
-    mean = math.fsum(sample) / n
-    deviations = [x - mean for x in sample]
-    sum_squares = math.fsum(d * d for d in deviations)
-    if sum_squares == 0.0 and min(sample) != max(sample):
+    try:
+        mean = math.fsum(sample) / n
+        deviations = [x - mean for x in sample]
+        sum_squares = math.fsum(d * d for d in deviations)
+    except OverflowError:  # an fsum's partial sums left float64
+        sum_squares = math.inf
+    variance = sum_squares / n
+    if math.isinf(variance):
+        raise DegenerateSampleError("squared deviations overflow; rescale the sample")
+    if variance == 0.0 and min(sample) != max(sample):
         raise DegenerateSampleError("squared deviations underflow to zero; rescale the sample")
     return sample, n, mean, deviations, sum_squares
 

@@ -31,6 +31,16 @@ def ohlcv_csv_from_returns(returns: list[float], start: float = 100.0) -> str:
     return ohlcv_csv_from_prices(prices_from_returns(returns, start))
 
 
+def word(rng: Xoshiro256PlusPlus) -> int:
+    """The generator's next 64-bit output."""
+    return rng._words(1)[0]
+
+
+def uniform(rng: Xoshiro256PlusPlus) -> float:
+    """The generator's next uniform on (0, 1)."""
+    return rng._floats(1)[0]
+
+
 _FIELD_VALUES = (b"null", b"1e300", b"1e-300", b"5e-324", b"0", b"-1", b"")
 _TOKENS = (b"-", b"e", b".", b",", b"\n", b'"', b" ", b"\x00")
 
@@ -40,21 +50,21 @@ def mutate(data: bytes, rng: Xoshiro256PlusPlus) -> bytes:
     whole field with an extreme number, ``null`` or nothing, insert a
     token, delete or duplicate a span, or (rarely) insert a raw byte."""
     buf = bytearray(data)
-    for _ in range(1 + rng.next_uint64() % 3):
-        at = rng.next_uint64() % (len(buf) + 1)
-        op = rng.next_uint64() % 16
+    for _ in range(1 + word(rng) % 3):
+        at = word(rng) % (len(buf) + 1)
+        op = word(rng) % 16
         fields = [m.span() for m in re.finditer(rb"[^,\n]+", buf)]
         if op < 4:
-            buf[at : at + 1] = b"%d" % (rng.next_uint64() % 10)
+            buf[at : at + 1] = b"%d" % (word(rng) % 10)
         elif op < 10 and fields:
-            lo, hi = fields[rng.next_uint64() % len(fields)]
-            buf[lo:hi] = _FIELD_VALUES[rng.next_uint64() % len(_FIELD_VALUES)]
+            lo, hi = fields[word(rng) % len(fields)]
+            buf[lo:hi] = _FIELD_VALUES[word(rng) % len(_FIELD_VALUES)]
         elif op < 12:
-            buf[at:at] = _TOKENS[rng.next_uint64() % len(_TOKENS)]
+            buf[at:at] = _TOKENS[word(rng) % len(_TOKENS)]
         elif op < 13:
-            del buf[at : at + 1 + rng.next_uint64() % 40]
+            del buf[at : at + 1 + word(rng) % 40]
         elif op < 15:
-            buf[at:at] = buf[at : at + 1 + rng.next_uint64() % 40]
+            buf[at:at] = buf[at : at + 1 + word(rng) % 40]
         else:
-            buf.insert(at, rng.next_uint64() % 256)
+            buf.insert(at, word(rng) % 256)
     return bytes(buf)

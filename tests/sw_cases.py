@@ -36,5 +36,4 @@ def build_dataset(case: tuple) -> list[float]:
         return sample_normal(n, NormalParams(mean=loc, sigma=scale), seed)
     if family == "laplace":
         return sample_laplace(n, LaplaceParams(mu=loc, scale=scale), seed)
-    rng = Xoshiro256PlusPlus(seed)
-    return [rng.next_float() for _ in range(n)]
+    return Xoshiro256PlusPlus(seed)._floats(n)

@@ -17,7 +17,7 @@ from returndist.cli import main
 from returndist.distfit import LaplaceParams, Xoshiro256PlusPlus, sample_laplace
 from returndist.market_data import OHLCV_HEADER, returns_to_lines
 
-from conftest import mutate, ohlcv_csv_from_returns
+from conftest import mutate, ohlcv_csv_from_returns, word
 
 
 @pytest.fixture
@@ -402,7 +402,7 @@ def _scaled_laplace_returns() -> dict[int, list[float]]:
     """The paper-sized Laplace returns times 2^k, for each k whose values are all finite."""
     returns = sample_laplace(1879, LaplaceParams(mu=0.0, scale=0.006), 7)
     scaled = {}
-    for k in (*range(-1080, 1030, 13), -1066, -1059, 278):
+    for k in (*range(-1080, 1030, 13), -1066, -1059, -532, 278, 600):
         try:
             scaled[k] = [math.ldexp(r, k) for r in returns]
         except OverflowError:
@@ -410,17 +410,21 @@ def _scaled_laplace_returns() -> dict[int, list[float]]:
     return scaled
 
 
-@pytest.mark.parametrize("command", ("analyze", "hist"))
+@pytest.mark.parametrize("command", ("analyze", "hist", "ecdf"))
 def test_power_of_two_scales_end_in_json_or_one_line(command, tmp_path, capsys):
     # a float64 limit reached in the report or the histogram is one named error
-    # line; analyze's own overflow and underflow messages are not pinned here
+    # line; analyze's own overflow and underflow messages are not pinned here,
+    # but a sample that is not constant is never called zero-variance, nor
+    # reaches a fitted parameter's range check
     path = tmp_path / "scaled.txt"
-    out = tmp_path / "hist.json"
+    out = tmp_path / "out"
     for k, values in _scaled_laplace_returns().items():
         path.write_text(returns_to_lines(values), encoding="utf-8")
         argv = [command, "--input", str(path), "--returns-only"]
-        if command == "hist":
+        if command != "analyze":
             argv += ["--output", str(out)]
+        if command == "ecdf":
+            argv += ["--format", "csv"]
         code = main(argv)
         captured = capsys.readouterr()
         assert code in (0, 3), (k, captured.err)
@@ -429,9 +433,15 @@ def test_power_of_two_scales_end_in_json_or_one_line(command, tmp_path, capsys):
             assert err.count("\n") == 1 and err.startswith("returndist: error: "), (k, err)
             assert "JSON compliant" not in err and "cannot convert float" not in err, (k, err)
             assert command == "analyze" or "division by zero" not in err, (k, err)
+            if command != "hist" and min(values) != max(values):
+                assert "must be finite and > 0" not in err and "zero-variance" not in err, (k, err)
             continue
-        text = captured.out if command == "analyze" else out.read_text()
-        json.loads(text, parse_constant=_reject_constant)
+        if command == "ecdf":
+            rows = out.read_text().splitlines()[1:]
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(",")), k
+        else:
+            text = captured.out if command == "analyze" else out.read_text()
+            json.loads(text, parse_constant=_reject_constant)
 
 
 def test_fuzzed_input_never_escapes(tmp_path, capsys):
@@ -441,7 +451,7 @@ def test_fuzzed_input_never_escapes(tmp_path, capsys):
     out = tmp_path / "out"
     for case in range(200):
         if case % 4 == 0:
-            data = bytes(rng.next_uint64() % 256 for _ in range(rng.next_uint64() % 200))
+            data = bytes(w % 256 for w in rng._words(word(rng) % 200))
         else:
             data = mutate(valid, rng)
         path.write_bytes(data)

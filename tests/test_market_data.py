@@ -25,7 +25,7 @@ from returndist.market_data import (
     simple_returns,
 )
 
-from conftest import mutate, ohlcv_csv_from_returns
+from conftest import mutate, ohlcv_csv_from_returns, word
 
 HEADER = ",".join(OHLCV_HEADER)
 
@@ -279,7 +279,7 @@ class TestColumnarPath:
             lines[1:] = lines[:0:-1]
         elif order == "shuffled":
             rng = Xoshiro256PlusPlus(3)
-            lines[1:] = sorted(lines[1:], key=lambda _: rng.next_uint64())
+            lines[1:] = sorted(lines[1:], key=lambda _: word(rng))
         for k in (100, 900, 1500):
             lines[k] = lines[k].partition(",")[0] + ",null,null,null,null,null,null"
         text = "\n".join(lines) + "\n"
@@ -366,8 +366,8 @@ class TestSimpleReturns:
     def test_scale_invariance(self):
         rng = Xoshiro256PlusPlus(15)
         prices = [100.0]
-        for _ in range(300):
-            prices.append(prices[-1] * (1.0 + 0.02 * (rng.next_float() - 0.5)))
+        for u in rng._floats(300):
+            prices.append(prices[-1] * (1.0 + 0.02 * (u - 0.5)))
         base = simple_returns(make_series(prices)).values
         for c in (3.0, 1e-4, 7.5e6):
             scaled = simple_returns(make_series([c * p for p in prices])).values
@@ -377,8 +377,8 @@ class TestSimpleReturns:
     def test_reconstruction(self):
         rng = Xoshiro256PlusPlus(16)
         prices = [250.0]
-        for _ in range(500):
-            prices.append(prices[-1] * (1.0 + 0.03 * (rng.next_float() - 0.5)))
+        for u in rng._floats(500):
+            prices.append(prices[-1] * (1.0 + 0.03 * (u - 0.5)))
         returns = simple_returns(make_series(prices)).values
         level = prices[0]
         for r, expected in zip(returns, prices[1:]):
@@ -388,8 +388,8 @@ class TestSimpleReturns:
     def test_returns_above_minus_one(self):
         rng = Xoshiro256PlusPlus(17)
         prices = [1.0]
-        for _ in range(200):
-            prices.append(max(prices[-1] * 2.0 * rng.next_float(), 1e-9))
+        for u in rng._floats(200):
+            prices.append(max(prices[-1] * 2.0 * u, 1e-9))
         assert all(r > -1.0 for r in simple_returns(make_series(prices)).values)
 
 

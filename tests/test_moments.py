@@ -14,6 +14,8 @@ from returndist.distfit import (
 from returndist.errors import DegenerateSampleError, DomainError, InsufficientDataError
 from returndist.moments import central_moment, excess_kurtosis, moment_report, skewness
 
+from conftest import word
+
 
 class TestCentralMoment:
     def test_symmetric_pair_variance(self):
@@ -112,8 +114,8 @@ class TestInvariances:
     def test_kurtosis_lower_bound(self):
         rng = Xoshiro256PlusPlus(66)
         for _ in range(300):
-            n = 4 + rng.next_uint64() % 12
-            sample = [rng.next_float() for _ in range(n)]
+            n = 4 + word(rng) % 12
+            sample = rng._floats(n)
             if central_moment(sample, 2) == 0.0:
                 continue
             assert excess_kurtosis(sample) >= -2.0 - 1e-12

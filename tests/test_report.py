@@ -491,6 +491,19 @@ class TestCentredSample:
              "squared deviations underflow to zero; rescale the sample"),
             (ecdf_overlay, [1e-170, 2e-170, 3e-170, 4e-170], DegenerateSampleError,
              "squared deviations underflow to zero; rescale the sample"),
+            # the sum of squares is the smallest subnormal; divided by n it is 0
+            (analyze_returns, [0.0, 0.0, 0.0, 2.0**-537], DegenerateSampleError,
+             "squared deviations underflow to zero; rescale the sample"),
+            (ecdf_overlay, [0.0, 0.0, 0.0, 2.0**-537], DegenerateSampleError,
+             "squared deviations underflow to zero; rescale the sample"),
+            # a square overflows, the sum of the squares overflows, the sum of
+            # the sample overflows
+            (analyze_returns, [1e300, -1e300, 0.0, 1.0], DegenerateSampleError,
+             "squared deviations overflow; rescale the sample"),
+            (analyze_returns, [1e154, -1e154] * 4, DegenerateSampleError,
+             "squared deviations overflow; rescale the sample"),
+            (ecdf_overlay, [1.7e308, 1.7e308, -1.0, 0.0], DegenerateSampleError,
+             "squared deviations overflow; rescale the sample"),
         ],
     )
     def test_error_type_and_message(self, call, values, error, message):
