@@ -205,7 +205,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # the CLI contract: one line on stderr, never a traceback
         print(f"returndist: error: {exc}", file=sys.stderr)
         return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), EXIT_COMPUTE)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

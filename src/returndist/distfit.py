@@ -174,10 +174,9 @@ def _lower_quantiles(qs: Iterable[float]) -> list[float]:
                 (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u
             ) / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
         density = math.exp(-0.5 * x * x) / _SQRT2PI
-        if density > 0.0:
-            err = 0.5 * math.erfc(-x / _SQRT2) - q
-            u = err / density
-            x -= u / (1.0 + 0.5 * x * u)
+        err = 0.5 * math.erfc(-x / _SQRT2) - q
+        u = err / density
+        x -= u / (1.0 + 0.5 * x * u)
         out.append(x)
     return out
 
@@ -217,8 +216,6 @@ class Xoshiro256PlusPlus:
         for _ in range(4):
             word, state = _splitmix64(state)
             words.append(word)
-        if not any(words):
-            words[0] = 1  # the all-zero state is the one fixed point
         self._s0, self._s1, self._s2, self._s3 = words
 
     def _words(self, count: int) -> list[int]:
@@ -241,7 +238,10 @@ class Xoshiro256PlusPlus:
 
     def _floats(self, count: int) -> list[float]:
         """The next count uniforms on the open interval (0, 1), 53-bit resolution."""
-        return [((w >> 11) + 0.5) * 2.0**-53 for w in self._words(count)]
+        out = [((w >> 11) + 0.5) * 2.0**-53 for w in self._words(count)]
+        while 1.0 in out:  # the top word: 2**53 - 0.5 rounds (ties to even) to 2**53
+            out[out.index(1.0)] = 1.0 - 2.0**-53
+        return out
 
 
 def sample_laplace(n: int, p: LaplaceParams, seed: int) -> list[float]:

@@ -240,10 +240,24 @@ def simple_returns(prices: PriceSeries, field: str = "adj_close") -> ReturnSerie
     return ReturnSeries(symbol=prices.symbol, dates=prices.dates[1:], values=values)
 
 
-def _parse_return_rows(text: str) -> list[float]:
-    """The line loop: any input, every check and message, line by line."""
-    values: list[float] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def parse_return_lines(text: str) -> list[float]:
+    """Parse the one-return-per-line format written by the sample command.
+
+    A file of finite numbers, one per line, is converted a whole file at a
+    time; any other input, and every error, goes through the line loop,
+    with the same result.
+    """
+    lines = text.splitlines()
+    try:
+        # float() strips the same whitespace as str.strip(), so a line it
+        # takes gives the loop's value
+        values = list(map(float, lines))
+        if values and all(map(math.isfinite, values)):
+            return values
+    except ValueError:  # a blank or unparsable line
+        pass
+    values = []
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -257,24 +271,6 @@ def _parse_return_rows(text: str) -> list[float]:
     if not values:
         raise EmptyInputError("input contains no return values")
     return values
-
-
-def parse_return_lines(text: str) -> list[float]:
-    """Parse the one-return-per-line format written by the sample command.
-
-    A file of finite numbers, one per line, is converted a whole file at a
-    time; any other input, and every error, goes through the line loop,
-    with the same result.
-    """
-    try:
-        # float() strips the same whitespace as str.strip(), so a line it
-        # takes gives the loop's value
-        values = list(map(float, text.splitlines()))
-        if values and all(map(math.isfinite, values)):
-            return values
-    except ValueError:  # a blank or unparsable line
-        pass
-    return _parse_return_rows(text)
 
 
 def returns_to_lines(values: Sequence[float]) -> str:

@@ -62,18 +62,25 @@ def central_moment(sample: Sequence[float], k: int) -> float:
 def _moments(centred: tuple) -> MomentsReport:
     _, n, mean, deviations, sum_squares = centred
     m2 = sum_squares / n
-    m3 = math.fsum(d * d * d for d in deviations) / n
-    m4 = math.fsum(d * d * d * d for d in deviations) / n
     if m2 == 0.0:
         raise DegenerateSampleError("moments undefined for a zero-variance sample")
+    try:
+        m3 = math.fsum(d * d * d for d in deviations) / n
+        m4 = math.fsum(d * d * d * d for d in deviations) / n
+        skew = m3 / m2**1.5
+        excess_kurtosis = m4 / (m2 * m2) - 3.0
+    except ZeroDivisionError:  # m2**1.5 or m2 * m2 underflowed
+        raise DegenerateSampleError(
+            "powers of the variance underflow to zero; rescale the sample"
+        ) from None
+    except (OverflowError, ValueError):
+        # an fsum's partial sums, inf - inf in an fsum, or m2**1.5, which is at
+        # most the largest cubed deviation
+        raise DegenerateSampleError(
+            "third and fourth powers of the deviations overflow; rescale the sample"
+        ) from None
     return MomentsReport(
-        n=n,
-        mean=mean,
-        m2=m2,
-        m3=m3,
-        m4=m4,
-        skew=m3 / m2**1.5,
-        excess_kurtosis=m4 / (m2 * m2) - 3.0,
+        n=n, mean=mean, m2=m2, m3=m3, m4=m4, skew=skew, excess_kurtosis=excess_kurtosis
     )
 
 

@@ -97,7 +97,7 @@ def _p_value(n: int, w: float) -> float:
     if n <= 11:
         gamma = _poly(_SMALL_N_GAMMA, float(n))
         if y >= gamma:
-            return _TINY_P  # beyond the transform's support, W far below null range
+            return _TINY_P  # W below its n = 4 minimum, rounded there by subnormal squares
         z = (-math.log(gamma - y) - _poly(_SMALL_N_MEAN, float(n))) / math.exp(
             _poly(_SMALL_N_LOG_SD, float(n))
         )

@@ -277,6 +277,13 @@ class TestQuantileKernel:
         levels = [(i - 0.375) / (n + 0.25) for i in range(1, n // 2 + 1)]
         self._assert_near_oracle(_lower_quantiles(levels), levels)
 
+    def test_subnormal_levels_finite_and_increasing(self):
+        # the Halley step divides by the density, which stays > 0 down to the
+        # smallest subnormal level (x = -38.47); the stdlib oracle differs from
+        # Acklam + Halley by about 1.8e-9 there, so it is not compared
+        xs = _lower_quantiles([5e-324, 1e-320])
+        assert all(map(math.isfinite, xs)) and xs[0] < xs[1]
+
     def test_normal_quantile_near_stdlib_oracle(self):
         lower = [10.0 ** (e / 10.0) for e in range(-3000, -3)] + [0.5]
         upper = [1.0 - q for q in lower if 1.0 - q < 1.0]
@@ -313,6 +320,21 @@ class TestRng:
         var = math.fsum((v - mean) ** 2 for v in values) / len(values)
         assert abs(mean - 0.5) < 0.005
         assert abs(var - 1.0 / 12.0) < 0.002
+
+    def test_top_word_maps_below_one(self):
+        # (2**53 - 1) + 0.5 rounds (ties to even) to 2**53, a uniform of 1.0
+        words = [2**64 - 1, 0, 2**63, 2**64 - 2**12]
+
+        class FixedWords(Xoshiro256PlusPlus):
+            __slots__ = ()
+
+            def _words(self, count):
+                return words[:count]
+
+        top, *rest = FixedWords(0)._floats(4)
+        assert top < 1.0
+        assert math.isfinite(_laplace_quantiles([top], STD_LAPLACE)[0])
+        assert rest == [((w >> 11) + 0.5) * 2.0**-53 for w in words[1:]]
 
     def test_seed_masked_to_64_bits(self):
         a = Xoshiro256PlusPlus(3)

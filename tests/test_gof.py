@@ -18,7 +18,7 @@ from returndist.distfit import (
     sample_laplace,
     sample_normal,
 )
-from returndist.errors import DegenerateFitError, InsufficientDataError
+from returndist.errors import DegenerateFitError, DomainError, InsufficientDataError
 from returndist import distfit
 from returndist.gof import (
     _ecdf_steps,
@@ -115,6 +115,23 @@ class TestLogLikelihood:
         sample = sample_laplace(100, STD_LAPLACE, 1)
         direct = math.fsum(math.log(math.exp(-abs(x - mu) / b) / (2.0 * b)) for x in sample)
         assert log_likelihood(sample, STD_LAPLACE) == pytest.approx(direct)
+
+
+@pytest.mark.parametrize(
+    ("call", "args", "error", "message"),
+    [
+        (ks_statistic, ([], math.erfc), InsufficientDataError,
+         "ks statistic needs a non-empty sample"),
+        (log_likelihood, ([], STD_NORMAL), InsufficientDataError,
+         "log-likelihood needs a non-empty sample"),
+        (log_likelihood, ([0.0], object()), DomainError, "unsupported params type object"),
+    ],
+)
+def test_error_type_and_message(call, args, error, message):
+    with pytest.raises(Exception) as caught:
+        call(*args)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def _ks_per_point(sample, cdf):

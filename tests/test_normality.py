@@ -18,7 +18,15 @@ from returndist.distfit import (
     sample_normal,
 )
 from returndist.errors import DegenerateSampleError, InsufficientDataError
-from returndist.normality import _EXTREME_1, _EXTREME_2, _poly, shapiro_wilk, sw_coefficients
+from returndist.normality import (
+    _EXTREME_1,
+    _EXTREME_2,
+    _SMALL_N_GAMMA,
+    _TINY_P,
+    _poly,
+    shapiro_wilk,
+    sw_coefficients,
+)
 from sw_cases import SW_CASES, build_dataset
 
 # Frozen from tests/regen_oracle_values.py (scipy 1.15.3).
@@ -158,6 +166,20 @@ class TestStatistic:
             shapiro_wilk([1.0, 2.0])
         with pytest.raises(DegenerateSampleError):
             shapiro_wilk([3.0, 3.0, 3.0, 3.0])
+
+    def test_small_n_transform_covers_every_exact_w(self):
+        # log(1 - W) < gamma(n) in exact arithmetic: gamma > 0 >= log(1 - W)
+        # for 5 <= n <= 11, and at n = 4, W >= 4 a1^2 / 3, reached by (0, 0, 0, 1)
+        assert all(_poly(_SMALL_N_GAMMA, float(n)) > 0.0 for n in range(5, 12))
+        a1 = sw_coefficients(4)[0]
+        assert 4.0 * a1 * a1 / 3.0 > 1.0 - math.exp(_poly(_SMALL_N_GAMMA, 4.0))
+
+    def test_w_rounded_below_its_minimum_gets_tiny_p(self):
+        # each squared deviation is just over half the smallest subnormal and
+        # rounds up to it, so the computed W is 0.25, below the n = 4 minimum
+        d = math.sqrt(0.5001) * 2.0**-537
+        result = shapiro_wilk([-d, -d, d, d])
+        assert (result.w, result.p_value) == (0.25, _TINY_P)
 
     def test_large_n_flag(self):
         data = sample_normal(5001, NormalParams(0.0, 1.0), 4)

@@ -504,6 +504,17 @@ class TestCentredSample:
              "squared deviations overflow; rescale the sample"),
             (ecdf_overlay, [1.7e308, 1.7e308, -1.0, 0.0], DegenerateSampleError,
              "squared deviations overflow; rescale the sample"),
+            # the variance is a normal float64, but its 1.5th power and its
+            # square are not; a fourth-power sum overflows; cubes are +-inf;
+            # the variance's 1.5th power overflows
+            (moment_report, [-1e-150, 1e-150, 0.0, 0.0], DegenerateSampleError,
+             "powers of the variance underflow to zero; rescale the sample"),
+            (moment_report, [-1.1e77, 1.1e77] * 2, DegenerateSampleError,
+             "third and fourth powers of the deviations overflow; rescale the sample"),
+            (moment_report, [-1e103, 1e103, 0.0, 0.0], DegenerateSampleError,
+             "third and fourth powers of the deviations overflow; rescale the sample"),
+            (moment_report, [0.0] * 100 + [1e104], DegenerateSampleError,
+             "third and fourth powers of the deviations overflow; rescale the sample"),
         ],
     )
     def test_error_type_and_message(self, call, values, error, message):
