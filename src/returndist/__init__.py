@@ -8,11 +8,7 @@ from .distfit import (
     Xoshiro256PlusPlus,
     fit_laplace,
     fit_normal,
-    laplace_cdf,
-    laplace_quantile,
     median,
-    normal_cdf,
-    normal_quantile,
     sample_laplace,
     sample_normal,
 )

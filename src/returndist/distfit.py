@@ -14,8 +14,8 @@ import math
 from collections.abc import Iterable, Sequence
 
 from ._record import Record
-from .errors import DegenerateFitError, DomainError, InsufficientDataError
-from .moments import _centred
+from .errors import DegenerateFitError, DegenerateSampleError, DomainError, InsufficientDataError
+from .moments import _centred, _Centred
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -60,14 +60,20 @@ def median(sample: Sequence[float]) -> float:
     return _middle(sorted(sample))
 
 
+def _unscaled(params: NormalParams | LaplaceParams, exponent: int) -> NormalParams | LaplaceParams:
+    """Params fitted to values times 2^-exponent, on the values' own scale."""
+    location, scale = (math.ldexp(v, exponent) for v in params._values())
+    if scale == 0.0:
+        family = f"{type(params).__name__.removesuffix('Params').lower()} {params._fields[1]}"
+        raise DegenerateSampleError(f"the fitted {family} underflows to zero in float64")
+    return type(params)(location, scale)
+
+
 def _fit_laplace(ordered: Sequence[float]) -> tuple[LaplaceParams, float]:
-    """The ML fit to an ascending sample, and its sum of |x - mu| for the LL."""
-    n = len(ordered)
-    if n < 2:
-        raise InsufficientDataError(f"laplace fit needs n >= 2, got {n}")
+    """The ML fit to an ascending sample of n >= 2, and its sum of |x - mu| for the LL."""
     mu = _middle(ordered)
     abs_dev = math.fsum(abs(x - mu) for x in ordered)
-    scale = abs_dev / n
+    scale = abs_dev / len(ordered)
     if scale == 0.0:
         raise DegenerateFitError("all sample values identical; laplace scale is zero")
     return LaplaceParams(mu=mu, scale=scale), abs_dev
@@ -75,23 +81,24 @@ def _fit_laplace(ordered: Sequence[float]) -> tuple[LaplaceParams, float]:
 
 def fit_laplace(sample: Sequence[float]) -> LaplaceParams:
     """ML fit: mu = sample median, scale = mean |deviation| from it."""
-    return _fit_laplace(sorted(sample))[0]
+    centred = _centred(sorted(sample), 2, "laplace fit")
+    return _unscaled(_fit_laplace(centred.values)[0], centred.exponent)
 
 
-def _fit_normal(centred: tuple) -> NormalParams:
-    _, n, mean, _, sum_squares = centred
-    if sum_squares == 0.0:
+def _fit_normal(centred: _Centred) -> NormalParams:
+    if centred.sum_squares == 0.0:
         raise DegenerateFitError("all sample values identical; normal sigma is zero")
-    return NormalParams(mean=mean, sigma=math.sqrt(sum_squares / n))
+    return NormalParams(mean=centred.mean, sigma=math.sqrt(centred.sum_squares / centred.n))
 
 
 def fit_normal(sample: Sequence[float]) -> NormalParams:
     """ML fit: sample mean and population (biased) standard deviation."""
-    return _fit_normal(_centred(sample, 2, "normal fit"))
+    centred = _centred(sample, 2, "normal fit")
+    return _unscaled(_fit_normal(centred), centred.exponent)
 
 
 def _laplace_cdfs(xs: Iterable[float], p: LaplaceParams) -> list[float]:
-    """The Laplace CDF at each x; laplace_cdf is this formula at one point."""
+    """The Laplace CDF at each x."""
     mu, scale = p.mu, p.scale
     return [
         0.5 * math.exp(z) if (z := (x - mu) / scale) < 0.0 else 1.0 - 0.5 * math.exp(-z)
@@ -99,13 +106,9 @@ def _laplace_cdfs(xs: Iterable[float], p: LaplaceParams) -> list[float]:
     ]
 
 
-def laplace_cdf(x: float, p: LaplaceParams) -> float:
-    return _laplace_cdfs((x,), p)[0]
-
-
 def _laplace_quantiles(qs: Iterable[float], p: LaplaceParams) -> list[float]:
-    """The Laplace quantile at each q in (0, 1); laplace_quantile is this
-    formula at one point."""
+    """The Laplace quantile at each q in (0, 1):
+    mu - scale * sgn(q - 1/2) * ln(1 - 2|q - 1/2|)."""
     mu, scale = p.mu, p.scale
     log = math.log
     return [
@@ -116,21 +119,10 @@ def _laplace_quantiles(qs: Iterable[float], p: LaplaceParams) -> list[float]:
     ]
 
 
-def laplace_quantile(q: float, p: LaplaceParams) -> float:
-    """Inverse CDF: mu - scale * sgn(q - 1/2) * ln(1 - 2|q - 1/2|)."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {q}")
-    return _laplace_quantiles((q,), p)[0]
-
-
 def _normal_cdfs(xs: Iterable[float], p: NormalParams) -> list[float]:
-    """The Normal CDF at each x; normal_cdf is this formula at one point."""
+    """The Normal CDF at each x."""
     mean, sigma = p.mean, p.sigma
     return [0.5 * math.erfc(-((x - mean) / sigma) / _SQRT2) for x in xs]
-
-
-def normal_cdf(x: float, p: NormalParams) -> float:
-    return _normal_cdfs((x,), p)[0]
 
 
 # Acklam's rational approximation to the standard-normal inverse CDF;
@@ -156,9 +148,10 @@ _ACKLAM_LOW = 0.02425
 
 
 def _lower_quantiles(qs: Iterable[float]) -> list[float]:
-    """The standard-normal quantile at each q in (0, 0.5]; normal_quantile is
-    this at one point. Here x <= 0, so erfc(-x/sqrt(2)) carries full relative
-    precision and the Halley residual is not cancellation-limited."""
+    """The standard-normal quantile at each q in (0, 0.5], accurate to ~1e-14
+    down to 1e-300. Here x <= 0, so erfc(-x/sqrt(2)) carries full relative
+    precision and the Halley residual is not cancellation-limited; an upper
+    quantile is minus the lower one at 1 - q, which is exact for q >= 0.5."""
     a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
     out = []
     for q in qs:
@@ -179,17 +172,6 @@ def _lower_quantiles(qs: Iterable[float]) -> list[float]:
         x -= u / (1.0 + 0.5 * x * u)
         out.append(x)
     return out
-
-
-def normal_quantile(q: float) -> float:
-    """Standard-normal inverse CDF, accurate to ~1e-14 on (1e-300, 1 - 1e-16)."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {q}")
-    # Reflect the upper half: 1 - q is exact for q >= 0.5 (Sterbenz), and
-    # antisymmetry then holds exactly.
-    if q > 0.5:
-        return -_lower_quantiles((1.0 - q,))[0]
-    return _lower_quantiles((q,))[0]
 
 
 _MASK64 = (1 << 64) - 1

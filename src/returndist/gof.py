@@ -20,9 +20,10 @@ from .distfit import (
     _fit_normal,
     _laplace_cdfs,
     _normal_cdfs,
+    _unscaled,
 )
 from .errors import DomainError, InsufficientDataError
-from .moments import _centred
+from .moments import _centred, _Centred
 
 MODEL_PARAMETER_COUNT = 2  # location + scale, both families
 
@@ -106,25 +107,27 @@ def _aic(ll: float) -> float:
     return 2.0 * MODEL_PARAMETER_COUNT - 2.0 * ll
 
 
-def _fits(centred: tuple) -> tuple[Sequence[float], tuple]:
-    """The ascending sample, and (family, params, CDF list kernel, log-likelihood)
-    for each family fitted to it. Each log-likelihood is O(1) from a sum its
-    fit already took: the centred sum of squares, or the sum of |x - mu|."""
-    sorted_x, n, _, _, sum_squares = centred
+def _fits(centred: _Centred) -> tuple:
+    """(family, params, CDF list kernel, log-likelihood) for each family fitted to
+    the ascending centred values, on their scale. Each log-likelihood is O(1) from
+    a sum its fit already took: the centred sum of squares, or the sum of |x - mu|."""
+    n, sum_squares = centred.n, centred.sum_squares
     normal = _fit_normal(centred)
-    laplace, abs_dev = _fit_laplace(sorted_x)
-    return sorted_x, (
+    laplace, abs_dev = _fit_laplace(centred.values)
+    return (
         ("normal", normal, _normal_cdfs, _normal_log_likelihood(n, sum_squares, normal.sigma)),
         ("laplace", laplace, _laplace_cdfs, _laplace_log_likelihood(n, abs_dev, laplace.scale)),
     )
 
 
-def _compare_fits(centred: tuple) -> GofReport:
-    sorted_x, fits = _fits(centred)
-    steps = _ecdf_steps(len(sorted_x))
+def _compare_fits(centred: _Centred) -> GofReport:
+    """KS on the centred values' scale, where it is the caller's bit for bit."""
+    steps = _ecdf_steps(centred.n)
+    shift = centred.n * centred.exponent * math.log(2.0)  # 2^-e adds n * e * ln 2 to an LL
     scores = []
-    for family, params, cdfs, ll in fits:
-        ks = _ks_distance(cdfs(sorted_x, params), steps)
+    for family, params, cdfs, ll in _fits(centred):
+        ks = _ks_distance(cdfs(centred.values, params), steps)
+        params, ll = _unscaled(params, centred.exponent), ll - shift
         scores.append(FitScore(family, params, ks, ll, _aic(ll)))
     better = min(scores, key=lambda s: (s.aic, s.ks_distance))
     return GofReport(normal=scores[0], laplace=scores[1], better_fit=better.family)

@@ -29,58 +29,62 @@ class MomentsReport(Record):
     excess_kurtosis: float
 
 
-def _centred(sample: Sequence[float], min_n: int, what: str) -> tuple:
-    """(sample, n, fsum mean, deviations x - mean in sample order, fsum(d*d)).
+class _Centred(Record):
+    """A sample's values (times 2^-exponent), their fsum mean, deviations x - mean, fsum(d*d)."""
 
-    A sample whose variance, fsum(d*d) / n, overflows, or is 0 without the
-    sample being constant, is refused here with its cause named."""
+    values: Sequence[float]
+    n: int
+    mean: float
+    deviations: list[float]
+    sum_squares: float
+    exponent: int
+
+
+def _centred(sample: Sequence[float], min_n: int, what: str) -> _Centred:
+    """The sample centred on its mean; first scaled by 2^-e to max |x| < 1 when max |x|
+    is m * 2^e with e outside [-128, 128], where no sum or power the readers take
+    could overflow or underflow. They map back what is not scale-invariant."""
     n = len(sample)
     if n < min_n:
         raise InsufficientDataError(f"{what} needs n >= {min_n}, got {n}")
+    exponent = math.frexp(max(-min(sample), max(sample)))[1]
+    if -128 <= exponent <= 128:
+        exponent = 0
+    else:
+        sample = [math.ldexp(x, -exponent) for x in sample]
+    mean = math.fsum(sample) / n
+    deviations = [x - mean for x in sample]
+    return _Centred(sample, n, mean, deviations, math.fsum(d * d for d in deviations), exponent)
+
+
+def _ldexp(x: float, exponent: int) -> float:
+    """x * 2^exponent, or +-inf where that overflows: math.ldexp raises there."""
     try:
-        mean = math.fsum(sample) / n
-        deviations = [x - mean for x in sample]
-        sum_squares = math.fsum(d * d for d in deviations)
-    except OverflowError:  # an fsum's partial sums left float64
-        sum_squares = math.inf
-    variance = sum_squares / n
-    if math.isinf(variance):
-        raise DegenerateSampleError("squared deviations overflow; rescale the sample")
-    if variance == 0.0 and min(sample) != max(sample):
-        raise DegenerateSampleError("squared deviations underflow to zero; rescale the sample")
-    return sample, n, mean, deviations, sum_squares
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def central_moment(sample: Sequence[float], k: int) -> float:
     """k-th central sample moment, (1/n) * sum(d * d * ... * d), d = x - mean."""
     if not 1 <= k <= MAX_MOMENT_ORDER:
         raise DomainError(f"moment order must be in 1..{MAX_MOMENT_ORDER}, got {k}")
-    _, n, _, deviations, _ = _centred(sample, 1, "central moment")
-    return math.fsum(math.prod(repeat(d, k)) for d in deviations) / n
+    centred = _centred(sample, 1, "central moment")
+    moment = math.fsum(math.prod(repeat(d, k)) for d in centred.deviations) / centred.n
+    return _ldexp(moment, k * centred.exponent)
 
 
-def _moments(centred: tuple) -> MomentsReport:
-    _, n, mean, deviations, sum_squares = centred
-    m2 = sum_squares / n
+def _moments(centred: _Centred) -> MomentsReport:
+    """The moments on the caller's scale; m2..m4 saturate to +-inf there."""
+    n, e, deviations = centred.n, centred.exponent, centred.deviations
+    m2 = centred.sum_squares / n
     if m2 == 0.0:
         raise DegenerateSampleError("moments undefined for a zero-variance sample")
-    try:
-        m3 = math.fsum(d * d * d for d in deviations) / n
-        m4 = math.fsum(d * d * d * d for d in deviations) / n
-        skew = m3 / m2**1.5
-        excess_kurtosis = m4 / (m2 * m2) - 3.0
-    except ZeroDivisionError:  # m2**1.5 or m2 * m2 underflowed
-        raise DegenerateSampleError(
-            "powers of the variance underflow to zero; rescale the sample"
-        ) from None
-    except (OverflowError, ValueError):
-        # an fsum's partial sums, inf - inf in an fsum, or m2**1.5, which is at
-        # most the largest cubed deviation
-        raise DegenerateSampleError(
-            "third and fourth powers of the deviations overflow; rescale the sample"
-        ) from None
+    m3 = math.fsum(d * d * d for d in deviations) / n
+    m4 = math.fsum(d * d * d * d for d in deviations) / n
     return MomentsReport(
-        n=n, mean=mean, m2=m2, m3=m3, m4=m4, skew=skew, excess_kurtosis=excess_kurtosis
+        n, math.ldexp(centred.mean, e), _ldexp(m2, 2 * e), _ldexp(m3, 3 * e), _ldexp(m4, 4 * e),
+        skew=m3 / m2**1.5, excess_kurtosis=m4 / (m2 * m2) - 3.0,
     )
 
 

@@ -22,7 +22,7 @@ from operator import mul, neg
 from ._record import Record
 from .distfit import _SQRT2, _lower_quantiles
 from .errors import DegenerateSampleError, InsufficientDataError
-from .moments import _centred
+from .moments import _centred, _Centred
 
 ROYSTON_MAX_VALIDATED_N = 5000
 
@@ -34,7 +34,6 @@ _SMALL_N_LOG_SD = (1.3822, -0.77857, 0.062767, -0.0020322)
 _LARGE_N_MEAN = (-1.5861, -0.31082, -0.083751, 0.0038915)
 _LARGE_N_LOG_SD = (-0.4803, -0.082676, 0.0030302)
 _SMALL_N_GAMMA = (-2.273, 0.459)
-_TINY_P = 1e-19
 
 
 class SWResult(Record):
@@ -95,9 +94,8 @@ def _p_value(n: int, w: float) -> float:
         return 1.0
     y = math.log(complement)
     if n <= 11:
+        # y < gamma: _centred leaves no subnormal sum to round W below its minimum
         gamma = _poly(_SMALL_N_GAMMA, float(n))
-        if y >= gamma:
-            return _TINY_P  # W below its n = 4 minimum, rounded there by subnormal squares
         z = (-math.log(gamma - y) - _poly(_SMALL_N_MEAN, float(n))) / math.exp(
             _poly(_SMALL_N_LOG_SD, float(n))
         )
@@ -107,9 +105,9 @@ def _p_value(n: int, w: float) -> float:
     return 0.5 * math.erfc(z / _SQRT2)
 
 
-def _shapiro_wilk(centred: tuple) -> SWResult:
+def _shapiro_wilk(centred: _Centred) -> SWResult:
     """W and p from a centred sample whose values are in ascending order."""
-    _, n, _, deviations, sum_squares = centred
+    n, deviations, sum_squares = centred.n, centred.deviations, centred.sum_squares
     if sum_squares == 0.0:
         raise DegenerateSampleError("shapiro-wilk undefined for a zero-variance sample")
     lower = _coefficients(n)

@@ -97,11 +97,11 @@ def _render_json(payload: dict) -> str:
     try:
         return json.dumps(payload, indent=2, allow_nan=False)
     except ValueError:
+        # every float of a payload is a field or in a tuple (params are range-checked)
         for name, value in payload.items():
             items = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(x) for x in items if isinstance(x, float)):
                 raise ValueError(f"{name} is not finite; rescale the sample") from None
-        raise
 
 
 def render_report_json(report: AnalysisReport) -> str:
@@ -171,14 +171,16 @@ def render_histogram_json(symbol: str, hist: HistogramData) -> str:
 def ecdf_overlay(values: Sequence[float]) -> tuple[list[float], ...]:
     """The columns (x, ecdf, normal_cdf, laplace_cdf) at each sorted value,
     with both families fitted to the sample."""
-    sorted_x, fits = _fits(_centred(sorted(values), 4, "fit comparison"))
+    sorted_x = sorted(values)
     n = len(sorted_x)
+    centred = _centred(sorted_x, 4, "fit comparison")
     # (#points <= x) / n: the rank of the last member of x's run of ties,
     # carried down each run from its end
     ecdf_values = _ecdf_steps(n)[1:]
     for i in reversed(list(compress(range(n - 1), map(eq, sorted_x, islice(sorted_x, 1, None))))):
         ecdf_values[i] = ecdf_values[i + 1]
-    return (sorted_x, ecdf_values, *(cdfs(sorted_x, params) for _, params, cdfs, _ in fits))
+    # each CDF on the centred values' scale: the caller's, bit for bit
+    return (sorted_x, ecdf_values, *(cdfs(centred.values, p) for _, p, cdfs, _ in _fits(centred)))
 
 
 def render_ecdf_csv(columns: Sequence[Sequence[float]]) -> str:

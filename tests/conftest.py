@@ -5,7 +5,15 @@ from __future__ import annotations
 import re
 from datetime import date, timedelta
 
-from returndist.distfit import Xoshiro256PlusPlus
+from returndist.distfit import (
+    LaplaceParams,
+    NormalParams,
+    Xoshiro256PlusPlus,
+    _laplace_cdfs,
+    _laplace_quantiles,
+    _lower_quantiles,
+    _normal_cdfs,
+)
 from returndist.market_data import OHLCV_HEADER
 
 
@@ -29,6 +37,30 @@ def ohlcv_csv_from_prices(prices: list[float]) -> str:
 
 def ohlcv_csv_from_returns(returns: list[float], start: float = 100.0) -> str:
     return ohlcv_csv_from_prices(prices_from_returns(returns, start))
+
+
+def laplace_cdf(x: float, p: LaplaceParams) -> float:
+    """The Laplace CDF at one point, from the list kernel."""
+    return _laplace_cdfs((x,), p)[0]
+
+
+def laplace_quantile(q: float, p: LaplaceParams) -> float:
+    """The Laplace quantile at one level, from the list kernel."""
+    return _laplace_quantiles((q,), p)[0]
+
+
+def normal_cdf(x: float, p: NormalParams) -> float:
+    """The Normal CDF at one point, from the list kernel."""
+    return _normal_cdfs((x,), p)[0]
+
+
+def normal_quantile(q: float) -> float:
+    """The standard-normal quantile at q in (0, 1), from the lower-half kernel.
+    The upper half is reflected: 1 - q is exact for q >= 0.5 (Sterbenz), and
+    antisymmetry then holds exactly."""
+    if q > 0.5:
+        return -_lower_quantiles((1.0 - q,))[0]
+    return _lower_quantiles((q,))[0]
 
 
 def word(rng: Xoshiro256PlusPlus) -> int:

@@ -19,10 +19,7 @@ from returndist.distfit import (
     NormalParams,
     Xoshiro256PlusPlus,
     fit_laplace,
-    laplace_cdf,
     median,
-    normal_cdf,
-    normal_quantile,
     sample_laplace,
     sample_normal,
 )
@@ -30,7 +27,7 @@ from returndist.gof import compare_fits
 from returndist.moments import excess_kurtosis, skewness
 from returndist.normality import shapiro_wilk
 
-from conftest import ohlcv_csv_from_returns, word
+from conftest import laplace_cdf, normal_cdf, normal_quantile, ohlcv_csv_from_returns, word
 from sw_cases import SW_CASES, build_dataset
 from test_normality import SW_REFERENCE
 

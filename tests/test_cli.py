@@ -330,13 +330,8 @@ class TestDeterminism:
         assert run() == run()
 
 
-_SIX = (1.0, -2.0, 0.5, 1.3, -0.7, 0.2)
 _HEADER = ",".join(OHLCV_HEADER)
 _FAILING_INPUTS = {
-    # m2 is subnormal, so m2**1.5 underflows to zero
-    "tiny.txt": "".join(f"{v * 1e-160!r}\n" for v in _SIX),
-    # cubed deviations overflow to +inf and -inf
-    "huge.txt": "".join(f"{v * 1e307!r}\n" for v in _SIX),
     # adj close jumps from 1e-300 to 1e300: an infinite return
     "jump.csv": _HEADER + "\n" + "".join(
         f"2012-01-{3 + i:02d},1,1,1,1,{p},10\n" for i, p in enumerate(("1e-300", "1e300", "2e300"))
@@ -351,9 +346,6 @@ _FAILING_INPUTS = {
 @pytest.mark.parametrize(
     ("name", "command", "code"),
     [
-        ("tiny.txt", "analyze", 3),
-        ("huge.txt", "analyze", 3),
-        ("huge.txt", "ecdf", 3),
         ("jump.csv", "analyze", 2),
         ("jump.csv", "ecdf", 2),
         ("jump.csv", "hist", 2),
@@ -377,21 +369,82 @@ def test_failure_is_one_line(name, command, code, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_SCALE_FREE = ("skew", "excess_kurtosis", "shapiro_w", "shapiro_p", "ks_normal", "ks_laplace",
+               "better_fit")
+
+
+def _main_on(command: str, values: list[float], tmp_path, capsys) -> tuple[int, str, object]:
+    """main's exit code and stderr on values as a returns file, and what it
+    wrote: the JSON it printed or wrote (analyze, hist), or the ecdf CSV's rows."""
+    path, out = tmp_path / "scaled.txt", tmp_path / "out"
+    path.write_text(returns_to_lines(values), encoding="utf-8")
+    argv = [command, "--input", str(path), "--returns-only"]
+    if command != "analyze":
+        argv += ["--output", str(out), *(("--format", "csv") if command == "ecdf" else ())]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if code != 0:
+        return code, captured.err, None
+    if command == "ecdf":
+        return code, captured.err, out.read_text().splitlines()[1:]
+    text = captured.out if command == "analyze" else out.read_text()
+    return code, captured.err, json.loads(text, parse_constant=_reject_constant)
+
+
+def _assert_unit_scale_output(command: str, got: object, unit: object, k: int) -> None:
+    """got, written for values times 2^k, is what unit was for the values:
+    the same scale-free statistics and fitted scales times 2^k (analyze), or
+    the same ECDF and CDF columns, compared as text (ecdf)."""
+    if command == "analyze":
+        assert [got[f] for f in _SCALE_FREE] == [unit[f] for f in _SCALE_FREE], k
+        assert got["normal_fit"]["sigma"] == math.ldexp(unit["normal_fit"]["sigma"], k), k
+        assert got["laplace_fit"]["scale"] == math.ldexp(unit["laplace_fit"]["scale"], k), k
+    else:
+        assert [row.partition(",")[2] for row in got] == [row.partition(",")[2] for row in unit], k
+
+
+_SIX = (1.0, -2.0, 0.5, 1.3, -0.7, 0.2)
+# unscaled, m2 is subnormal, so m2**1.5 underflows to zero; cubed deviations
+# overflow to +inf and -inf
+_EXTREME_SIX = {"tiny.txt": [v * 1e-160 for v in _SIX], "huge.txt": [v * 1e307 for v in _SIX]}
+
+
+@pytest.mark.parametrize(
+    ("name", "command"), [("tiny.txt", "analyze"), ("huge.txt", "analyze"), ("huge.txt", "ecdf")]
+)
+def test_extreme_scales_give_unit_scale_output(name, command, tmp_path, capsys):
+    values = _EXTREME_SIX[name]
+    k = math.frexp(max(map(abs, values)))[1]
+    code, err, got = _main_on(command, values, tmp_path, capsys)
+    assert code == 0, err
+    unit = _main_on(command, [math.ldexp(v, -k) for v in values], tmp_path, capsys)[2]
+    _assert_unit_scale_output(command, got, unit, k)
+    if command == "ecdf":
+        assert [float(row.partition(",")[0]) for row in got] == sorted(values)
+
+
 @pytest.mark.parametrize("exponent", (-600, -1000))
 @pytest.mark.parametrize("command", ("analyze", "ecdf"))
-def test_underflowing_squares_exit_3_with_their_cause(command, exponent, tmp_path, capsys):
-    # the values differ, but every squared deviation from their mean is below
-    # the smallest subnormal: not a zero-variance sample
+def test_underflowing_squares_give_unit_scale_output(command, exponent, tmp_path, capsys):
+    # unscaled, every squared deviation from the mean is below the smallest subnormal
     returns = sample_laplace(1879, LaplaceParams(mu=0.0, scale=0.006), 2019)
-    path = tmp_path / "scaled.txt"
-    path.write_text("".join(f"{math.ldexp(r, exponent)!r}\n" for r in returns), encoding="utf-8")
-    argv = [command, "--input", str(path), "--returns-only"]
-    if command == "ecdf":
-        argv += ["--output", str(tmp_path / "out")]
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert err == "returndist: error: squared deviations underflow to zero; rescale the sample\n"
-    assert not (tmp_path / "out").exists()
+    scaled = [math.ldexp(r, exponent) for r in returns]
+    code, err, got = _main_on(command, scaled, tmp_path, capsys)
+    assert code == 0, err
+    unit = _main_on(command, returns, tmp_path, capsys)[2]
+    _assert_unit_scale_output(command, got, unit, exponent)
+
+
+@pytest.mark.parametrize("exponent", (-1070, -1069, -1068))
+def test_fitted_scale_underflow_is_named(exponent, tmp_path, capsys):
+    # the values are subnormal but differ; a fitted scale mapped back to them is below 2^-1074
+    returns = sample_laplace(1879, LaplaceParams(mu=0.0, scale=0.006), 7)
+    scaled = [math.ldexp(r, exponent) for r in returns]
+    assert min(scaled) != max(scaled)
+    family = "laplace scale" if exponent == -1068 else "normal sigma"
+    assert _main_on("analyze", scaled, tmp_path, capsys)[:2] == (
+        3, f"returndist: error: the fitted {family} underflows to zero in float64\n"
+    )
 
 
 def _reject_constant(name: str) -> None:
@@ -402,7 +455,10 @@ def _scaled_laplace_returns() -> dict[int, list[float]]:
     """The paper-sized Laplace returns times 2^k, for each k whose values are all finite."""
     returns = sample_laplace(1879, LaplaceParams(mu=0.0, scale=0.006), 7)
     scaled = {}
-    for k in (*range(-1080, 1030, 13), -1066, -1059, -532, -400, 265, 278, 400, 600):
+    # max |x| is m * 2^-4, so k = -124 and 132 are the rescale band's edges; the
+    # scaling is exact for k >= -1009, and k = 1028 is the last finite scale
+    edges = (0, -125, -124, -123, 131, 132, 133, -1009, 1028)
+    for k in (*range(-1080, 1030, 19), -1066, -1059, -532, -400, 265, 278, 400, 600, *edges):
         try:
             scaled[k] = [math.ldexp(r, k) for r in returns]
         except OverflowError:
@@ -412,36 +468,26 @@ def _scaled_laplace_returns() -> dict[int, list[float]]:
 
 @pytest.mark.parametrize("command", ("analyze", "hist", "ecdf"))
 def test_power_of_two_scales_end_in_json_or_one_line(command, tmp_path, capsys):
-    # a float64 limit reached in the report or the histogram is one named error
-    # line; analyze's own overflow and underflow messages are not pinned here,
-    # but none is a raw float64 error, and a sample that is not constant is
-    # never called zero-variance, nor reaches a fitted parameter's range check
-    path = tmp_path / "scaled.txt"
-    out = tmp_path / "out"
-    for k, values in _scaled_laplace_returns().items():
-        path.write_text(returns_to_lines(values), encoding="utf-8")
-        argv = [command, "--input", str(path), "--returns-only"]
-        if command != "analyze":
-            argv += ["--output", str(out)]
-        if command == "ecdf":
-            argv += ["--format", "csv"]
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code in (0, 3), (k, captured.err)
+    # a float64 limit reached in the histogram is one named error line, not a
+    # raw float64 error; a sample that is not constant is never called
+    # zero-variance, nor reaches a fitted parameter's range check; and where the
+    # scaling is exact, analyze and ecdf exit 0 with k = 0's statistics
+    scaled = _scaled_laplace_returns()
+    unit = _main_on(command, scaled[0], tmp_path, capsys)[2]
+    for k, values in scaled.items():
+        code, err, output = _main_on(command, values, tmp_path, capsys)
+        assert code in (0, 3), (k, err)
+        if command != "hist" and k >= -1009:
+            assert code == 0, (k, err)
+            _assert_unit_scale_output(command, output, unit, k)
         if code == 3:
-            err = captured.err
             assert err.count("\n") == 1 and err.startswith("returndist: error: "), (k, err)
             assert "JSON compliant" not in err and "cannot convert float" not in err, (k, err)
             assert "division by zero" not in err and "in fsum" not in err, (k, err)
             if command != "hist" and min(values) != max(values):
                 assert "must be finite and > 0" not in err and "zero-variance" not in err, (k, err)
-            continue
-        if command == "ecdf":
-            rows = out.read_text().splitlines()[1:]
-            assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(",")), k
-        else:
-            text = captured.out if command == "analyze" else out.read_text()
-            json.loads(text, parse_constant=_reject_constant)
+        elif command == "ecdf":
+            assert not any("inf" in row or "nan" in row for row in output), k
 
 
 def test_fuzzed_input_never_escapes(tmp_path, capsys):

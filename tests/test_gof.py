@@ -12,9 +12,6 @@ from returndist.distfit import (
     LaplaceParams,
     NormalParams,
     Xoshiro256PlusPlus,
-    laplace_cdf,
-    laplace_quantile,
-    normal_cdf,
     sample_laplace,
     sample_normal,
 )
@@ -28,6 +25,8 @@ from returndist.gof import (
     ks_statistic,
     log_likelihood,
 )
+
+from conftest import laplace_cdf, laplace_quantile, normal_cdf
 
 STD_LAPLACE = LaplaceParams(mu=0.0, scale=1.0)
 STD_NORMAL = NormalParams(mean=0.0, sigma=1.0)

@@ -13,7 +13,6 @@ import pytest
 from returndist.distfit import (
     LaplaceParams,
     NormalParams,
-    normal_quantile,
     sample_laplace,
     sample_normal,
 )
@@ -22,11 +21,11 @@ from returndist.normality import (
     _EXTREME_1,
     _EXTREME_2,
     _SMALL_N_GAMMA,
-    _TINY_P,
     _poly,
     shapiro_wilk,
     sw_coefficients,
 )
+from conftest import normal_quantile
 from sw_cases import SW_CASES, build_dataset
 
 # Frozen from tests/regen_oracle_values.py (scipy 1.15.3).
@@ -174,12 +173,13 @@ class TestStatistic:
         a1 = sw_coefficients(4)[0]
         assert 4.0 * a1 * a1 / 3.0 > 1.0 - math.exp(_poly(_SMALL_N_GAMMA, 4.0))
 
-    def test_w_rounded_below_its_minimum_gets_tiny_p(self):
-        # each squared deviation is just over half the smallest subnormal and
-        # rounds up to it, so the computed W is 0.25, below the n = 4 minimum
+    def test_w_of_subnormal_squares_is_the_unit_scale_w(self):
+        # unscaled, each squared deviation is just over half the smallest
+        # subnormal and rounds up to it, which made W 0.25, below the n = 4 minimum
         d = math.sqrt(0.5001) * 2.0**-537
-        result = shapiro_wilk([-d, -d, d, d])
-        assert (result.w, result.p_value) == (0.25, _TINY_P)
+        unit = shapiro_wilk([-1.0, -1.0, 1.0, 1.0])
+        assert unit.w == 0.7286341481736174
+        assert shapiro_wilk([-d, -d, d, d]) == unit
 
     def test_large_n_flag(self):
         data = sample_normal(5001, NormalParams(0.0, 1.0), 4)

@@ -17,8 +17,6 @@ from returndist.distfit import (
     NormalParams,
     fit_laplace,
     fit_normal,
-    laplace_cdf,
-    normal_cdf,
     sample_laplace,
     sample_normal,
 )
@@ -43,6 +41,8 @@ from returndist.report import (
     report_from_dict,
     report_to_dict,
 )
+
+from conftest import laplace_cdf, normal_cdf
 
 STD_LAPLACE = LaplaceParams(mu=0.0, scale=1.0)
 STD_NORMAL = NormalParams(mean=0.0, sigma=1.0)
@@ -487,34 +487,6 @@ class TestCentredSample:
             (fit_normal, [1.0], InsufficientDataError, "normal fit needs n >= 2, got 1"),
             (compare_fits, [1.0, 2.0, 3.0], InsufficientDataError,
              "fit comparison needs n >= 4, got 3"),
-            (analyze_returns, [1e-170, 2e-170, 3e-170, 4e-170], DegenerateSampleError,
-             "squared deviations underflow to zero; rescale the sample"),
-            (ecdf_overlay, [1e-170, 2e-170, 3e-170, 4e-170], DegenerateSampleError,
-             "squared deviations underflow to zero; rescale the sample"),
-            # the sum of squares is the smallest subnormal; divided by n it is 0
-            (analyze_returns, [0.0, 0.0, 0.0, 2.0**-537], DegenerateSampleError,
-             "squared deviations underflow to zero; rescale the sample"),
-            (ecdf_overlay, [0.0, 0.0, 0.0, 2.0**-537], DegenerateSampleError,
-             "squared deviations underflow to zero; rescale the sample"),
-            # a square overflows, the sum of the squares overflows, the sum of
-            # the sample overflows
-            (analyze_returns, [1e300, -1e300, 0.0, 1.0], DegenerateSampleError,
-             "squared deviations overflow; rescale the sample"),
-            (analyze_returns, [1e154, -1e154] * 4, DegenerateSampleError,
-             "squared deviations overflow; rescale the sample"),
-            (ecdf_overlay, [1.7e308, 1.7e308, -1.0, 0.0], DegenerateSampleError,
-             "squared deviations overflow; rescale the sample"),
-            # the variance is a normal float64, but its 1.5th power and its
-            # square are not; a fourth-power sum overflows; cubes are +-inf;
-            # the variance's 1.5th power overflows
-            (moment_report, [-1e-150, 1e-150, 0.0, 0.0], DegenerateSampleError,
-             "powers of the variance underflow to zero; rescale the sample"),
-            (moment_report, [-1.1e77, 1.1e77] * 2, DegenerateSampleError,
-             "third and fourth powers of the deviations overflow; rescale the sample"),
-            (moment_report, [-1e103, 1e103, 0.0, 0.0], DegenerateSampleError,
-             "third and fourth powers of the deviations overflow; rescale the sample"),
-            (moment_report, [0.0] * 100 + [1e104], DegenerateSampleError,
-             "third and fourth powers of the deviations overflow; rescale the sample"),
         ],
     )
     def test_error_type_and_message(self, call, values, error, message):
@@ -523,6 +495,47 @@ class TestCentredSample:
             call(*args)
         assert type(caught.value) is error
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        ("call", "values"),
+        [
+            # unscaled, every squared deviation underflows to zero
+            pytest.param(analyze_returns, [1e-170, 2e-170, 3e-170, 4e-170], id="analyze-squares-0"),
+            pytest.param(ecdf_overlay, [1e-170, 2e-170, 3e-170, 4e-170], id="ecdf-squares-0"),
+            # unscaled, the sum of squares is the smallest subnormal and /n is 0
+            pytest.param(analyze_returns, [0.0, 0.0, 0.0, 2.0**-537], id="analyze-variance-0"),
+            pytest.param(ecdf_overlay, [0.0, 0.0, 0.0, 2.0**-537], id="ecdf-variance-0"),
+            # unscaled, a square, the sum of the squares, the sum of the sample overflow
+            pytest.param(analyze_returns, [1e300, -1e300, 0.0, 1.0], id="analyze-square-inf"),
+            pytest.param(analyze_returns, [1e154, -1e154] * 4, id="analyze-squares-sum-inf"),
+            pytest.param(ecdf_overlay, [1.7e308, 1.7e308, -1.0, 0.0], id="ecdf-sum-inf"),
+            # unscaled, the variance's 1.5th power and square underflow; a
+            # fourth-power sum overflows; cubes are +-inf; m2**1.5 overflows
+            pytest.param(moment_report, [-1e-150, 1e-150, 0.0, 0.0], id="moments-m2-powers-0"),
+            pytest.param(moment_report, [-1.1e77, 1.1e77] * 2, id="moments-fourths-sum-inf"),
+            pytest.param(moment_report, [-1e103, 1e103, 0.0, 0.0], id="moments-cubes-inf"),
+            pytest.param(moment_report, [0.0] * 100 + [1e104], id="moments-m2-power-inf"),
+        ],
+    )
+    def test_extreme_scale_is_unit_scale(self, call, values):
+        # the same values times 2^-k, exactly, with max |x| in [0.5, 1)
+        k = math.frexp(max(map(abs, values)))[1]
+        unit = [math.ldexp(x, -k) for x in values]
+        if call is analyze_returns:
+            got, want = analyze_returns(values, "SYN"), analyze_returns(unit, "SYN")
+            for field in ("skew", "excess_kurtosis", "shapiro_w", "shapiro_p", "ks_normal",
+                          "ks_laplace", "better_fit"):
+                assert getattr(got, field) == getattr(want, field), field
+            assert got.normal_fit.sigma == math.ldexp(want.normal_fit.sigma, k)
+            assert got.laplace_fit.scale == math.ldexp(want.laplace_fit.scale, k)
+        elif call is ecdf_overlay:
+            got, want = ecdf_overlay(values), ecdf_overlay(unit)
+            assert got[0] == sorted(values)
+            assert got[1:] == want[1:]
+        else:
+            got, want = moment_report(values), moment_report(unit)
+            assert (got.skew, got.excess_kurtosis) == (want.skew, want.excess_kurtosis)
+            assert got.m2 == math.ldexp(want.m2, 2 * k)
 
 
 class TestEcdfOverlay:
