@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import DegenerateFitError, DegenerateSampleError, DomainError, InsufficientDataError
-from .moments import _centred, _Centred
+from .moments import _Centred, _centred
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)

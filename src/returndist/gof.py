@@ -23,7 +23,7 @@ from .distfit import (
     _unscaled,
 )
 from .errors import DomainError, InsufficientDataError
-from .moments import _centred, _Centred
+from .moments import _Centred, _centred
 
 MODEL_PARAMETER_COUNT = 2  # location + scale, both families
 

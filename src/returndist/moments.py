@@ -1,9 +1,9 @@
 """Descriptive moment statistics: skewness and excess kurtosis.
 
 Population (biased) estimators throughout, computed two-pass. The first
-pass, `_centred` (mean, deviations, sum of squares), is taken once per
-analysis and read by the moments, Shapiro-Wilk, the Normal fit and the
-Normal log-likelihood. Kurtosis is in Fisher's excess form, zero in
+pass, `_centred` (scale, mean, deviations, sum of squares), is taken once
+per analysis and read by the moments, Shapiro-Wilk, the Normal fit and
+the Normal log-likelihood. Kurtosis is in Fisher's excess form, zero in
 expectation for normal data.
 """
 

@@ -22,7 +22,7 @@ from operator import mul, neg
 from ._record import Record
 from .distfit import _SQRT2, _lower_quantiles
 from .errors import DegenerateSampleError, InsufficientDataError
-from .moments import _centred, _Centred
+from .moments import _Centred, _centred
 
 ROYSTON_MAX_VALIDATED_N = 5000
 
