@@ -6,8 +6,9 @@ import csv
 import io
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from datetime import date
+from functools import partial
 from itertools import compress, islice, repeat
 
 from ._record import Record
@@ -25,7 +26,8 @@ PRICE_FIELDS = ("adj_close", "close")
 # the five price columns as error messages name them: "open" ... "adj close"
 _PRICE_NAMES = tuple(name.lower() for name in OHLCV_HEADER[1:6])
 
-# text per columnar chunk, cut at a newline: bounds the cells alive at once
+# characters per piece of text fed to the columnar parser; each block of whole
+# lines it makes ends at a piece's last newline, which bounds the cells alive at once
 _CHUNK_CHARS = 1 << 20
 
 
@@ -43,6 +45,10 @@ class PriceSeries(Record):
 
     def __len__(self) -> int:
         return len(self.dates)
+
+
+# the columns after the date, in file order: "open" ... "volume"
+_COLUMNS = PriceSeries._fields[2:]
 
 
 class ReturnSeries(Record):
@@ -128,74 +134,117 @@ def _parse_rows(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
     return PriceSeries(symbol, dates, *columns), warnings
 
 
-def _parse_columns(text: str, symbol: str) -> tuple[PriceSeries, list[str]] | None:
-    """Whole-column parse of a plain LF file, sorted by date.
+def _line_blocks(pieces: Iterable[str]) -> Iterator[str]:
+    """The text that the pieces join to, as blocks of whole lines without their
+    final newline: one block per piece that holds a newline, ending at its last
+    one, and the text after the last newline as a block of its own. A piece
+    without a newline joins the next block, so a line may span any number of
+    pieces."""
+    tail = ""
+    for piece in pieces:
+        cut = piece.rfind("\n")
+        if cut < 0:
+            tail += piece
+        else:
+            yield tail + piece[:cut]
+            tail = piece[cut + 1 :]
+    if tail:
+        yield tail
 
+
+def _parse_block(
+    block: str, lineno: int, dates: list[date], kept: dict[str, list], warnings: list[str]
+) -> int | None:
+    """Append one block's dates, kept columns and warnings; return the line number
+    after the block, or None where ``_parse_columns`` declines. Its lines and cells
+    die on return, before the next block is read."""
+    if '"' in block or "\r" in block or "\0" in block:
+        return None
+    lines = block.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if lineno == 1:
+        header = lines.pop(0).lstrip("\ufeff").split(",")
+        if tuple(col.strip() for col in header) != OHLCV_HEADER:
+            return None
+        if not lines:
+            return 2
+        lineno = 2
+    if set(map(str.count, lines, repeat(","))) != {6}:
+        return None
+    for i in compress(range(len(lines)), map(operator.contains, lines, repeat("null"))):
+        if any(cell.strip() == "null" for cell in lines[i].split(",")[1:]):
+            warnings.append(f"line {lineno + i}: null field, row skipped")
+            lines[i] = ""
+    cells = ",".join(filter(None, lines)).split(",")
+    if cells == [""]:  # every line of the block was a null row
+        return lineno + len(lines)
+    # the values are checked as they are converted, so a bad cell stops the pass at its block
+    try:
+        dates += map(date.fromisoformat, cells[0::7])
+        for k, name in enumerate(_COLUMNS[:5], start=1):
+            values = list(map(float, cells[k::7]))
+            if not all(map(math.isfinite, values)) or min(values) <= 0.0:
+                return None
+            if name in kept:
+                kept[name] += values
+        values = list(map(int, cells[6::7]))
+    except ValueError:
+        return None
+    if min(values) < 0:
+        return None
+    if "volume" in kept:
+        kept["volume"] += values
+    return lineno + len(lines)
+
+
+def _parse_columns(
+    blocks: Iterable[str], keep: Sequence[str]
+) -> tuple[list[date], list[list], list[str]] | None:
+    """The dates, the columns named in ``keep`` and the warnings of a plain
+    LF OHLCV text given as ``_line_blocks``, in ascending date order.
+
+    Each block is checked and converted whole, then dropped, so only one
+    block's lines and cells are alive at a time; of the converted cells only
+    the dates and the kept columns stay. Every cell is checked, kept or not.
     Returns None, having raised nothing, when the text could parse
-    differently from ``_parse_rows`` or fails any of its checks: quotes,
-    CR or NUL, a bad header, a line without exactly seven fields or over
-    the csv field limit, an unconvertible cell, a non-finite or
-    non-positive price, a negative volume, or a duplicate date.
-    Otherwise the result equals ``_parse_rows``'s.
+    differently from ``_parse_rows`` or fails any of its checks: quotes, CR
+    or NUL, a bad header, a line without exactly seven fields or over the
+    csv field limit, an unconvertible cell, a non-finite or non-positive
+    price, a negative volume, a duplicate date, or no priced row. Otherwise
+    the dates, kept columns and warnings equal ``_parse_rows``'s.
     """
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    head_end = text.find("\n")
-    if head_end < 0:
-        return None
-    header = text[:head_end].lstrip("\ufeff").split(",")
-    if tuple(col.strip() for col in header) != OHLCV_HEADER:
-        return None
-    limit = csv.field_size_limit()
     dates: list[date] = []
-    prices: tuple[list[float], ...] = ([], [], [], [], [])
-    volume: list[int] = []
+    kept: dict[str, list] = {name: [] for name in keep}
     warnings: list[str] = []
-    lineno = 2
-    start, stop = head_end + 1, len(text) - text.endswith("\n")
-    while start <= stop:
-        # one chunk of whole lines, so only one chunk's cells exist at a time
-        end = text.find("\n", start + _CHUNK_CHARS, stop)
-        if end < 0:
-            end = stop
-        lines = text[start:end].split("\n")
-        start = end + 1
-        if set(map(str.count, lines, repeat(","))) != {6} or max(map(len, lines)) > limit:
+    lineno: int | None = 1
+    for block in blocks:
+        lineno = _parse_block(block, lineno, dates, kept, warnings)
+        if lineno is None:
             return None
-        for i in compress(range(len(lines)), map(operator.contains, lines, repeat("null"))):
-            if any(cell.strip() == "null" for cell in lines[i].split(",")[1:]):
-                warnings.append(f"line {lineno + i}: null field, row skipped")
-                lines[i] = ""
-        lineno += len(lines)
-        cells = ",".join(filter(None, lines)).split(",")
-        if cells == [""]:  # every line of the chunk was a null row
-            continue
-        # each chunk's values are checked as they are converted, so a bad cell
-        # stops the pass at its chunk
-        try:
-            dates.extend(map(date.fromisoformat, cells[0::7]))
-            for k, column in enumerate(prices, start=1):
-                values = list(map(float, cells[k::7]))
-                if not all(map(math.isfinite, values)) or min(values) <= 0.0:
-                    return None
-                column += values
-            values = list(map(int, cells[6::7]))
-        except ValueError:
-            return None
-        if min(values) < 0:
-            return None
-        volume += values
     if not dates:
         return None
+    columns = list(kept.values())
     if not all(map(operator.lt, dates, islice(dates, 1, None))):
         # rows out of date order (a newest-first export) are sorted here, as _parse_rows does
         order = sorted(range(len(dates)), key=dates.__getitem__)
         dates = list(map(dates.__getitem__, order))
         if not all(map(operator.lt, dates, islice(dates, 1, None))):
             return None  # a duplicate date, which _parse_rows reports with its line
-        prices = tuple(list(map(column.__getitem__, order)) for column in prices)
-        volume = list(map(volume.__getitem__, order))
-    return PriceSeries(symbol, tuple(dates), *map(tuple, prices), tuple(volume)), warnings
+        columns = [list(map(column.__getitem__, order)) for column in columns]
+    return dates, columns, warnings
+
+
+def _text_pieces(text: str) -> Iterator[str]:
+    """The text in slices of ``_CHUNK_CHARS`` characters."""
+    return (text[i : i + _CHUNK_CHARS] for i in range(0, len(text), _CHUNK_CHARS))
+
+
+def _read_columns(
+    fh: io.TextIOBase, keep: Sequence[str]
+) -> tuple[list[date], list[list], list[str]] | None:
+    """``_parse_columns`` on a text file read ``_CHUNK_CHARS`` characters at a time."""
+    return _parse_columns(_line_blocks(iter(partial(fh.read, _CHUNK_CHARS), "")), keep)
 
 
 def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
@@ -205,11 +254,16 @@ def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
     returned warnings list. Raises DataFormatError for a bad header,
     malformed CSV, unparsable fields, non-positive prices, or duplicate
     dates, and EmptyInputError when there are no data rows at all.
-    Plain LF files without quotes or blank lines are converted a whole
-    column at a time; any other input, and every error, goes through the
-    csv module row by row, with the same result.
+    Plain LF files without quotes or blank lines are fed to the columnar
+    parser in ``_CHUNK_CHARS``-character slices, each cut back to its last
+    newline and converted a column at a time; any other input, and every
+    error, goes through the csv module row by row, with the same result.
     """
-    return _parse_columns(text, symbol) or _parse_rows(text, symbol)
+    parsed = _parse_columns(_line_blocks(_text_pieces(text)), _COLUMNS)
+    if parsed is None:
+        return _parse_rows(text, symbol)
+    dates, columns, warnings = parsed
+    return PriceSeries(symbol, tuple(dates), *map(tuple, columns)), warnings
 
 
 def price_series_to_csv(series: PriceSeries) -> str:
@@ -220,23 +274,28 @@ def price_series_to_csv(series: PriceSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _returns(dates: Sequence[date], column: Sequence[float]) -> tuple[float, ...]:
+    """Fractional changes between consecutive prices of a column, errors dated by ``dates``."""
+    if len(column) < 2:
+        raise InsufficientDataError(
+            f"need at least 2 price points to compute returns, got {len(column)}"
+        )
+    if 0.0 in column[:-1]:
+        day = dates[column.index(0.0) + 1]
+        raise DomainError(f"zero price on {day.isoformat()} denominator")
+    values = tuple((cur - prev) / prev for prev, cur in zip(column, islice(column, 1, None)))
+    finite = list(map(math.isfinite, values))
+    if not all(finite):
+        day = dates[finite.index(False) + 1]
+        raise DataFormatError(f"non-finite return on {day.isoformat()}")
+    return values
+
+
 def simple_returns(prices: PriceSeries, field: str = "adj_close") -> ReturnSeries:
     """Fractional price changes between consecutive points of a series."""
     if field not in PRICE_FIELDS:
         raise DomainError(f"price field must be one of {PRICE_FIELDS}, got {field!r}")
-    if len(prices) < 2:
-        raise InsufficientDataError(
-            f"need at least 2 price points to compute returns, got {len(prices)}"
-        )
-    column = getattr(prices, field)
-    if 0.0 in column[:-1]:
-        day = prices.dates[column.index(0.0) + 1]
-        raise DomainError(f"zero price on {day.isoformat()} denominator")
-    values = tuple((cur - prev) / prev for prev, cur in zip(column, column[1:]))
-    finite = list(map(math.isfinite, values))
-    if not all(finite):
-        day = prices.dates[finite.index(False) + 1]
-        raise DataFormatError(f"non-finite return on {day.isoformat()}")
+    values = _returns(prices.dates, getattr(prices, field))
     return ReturnSeries(symbol=prices.symbol, dates=prices.dates[1:], values=values)
 
 

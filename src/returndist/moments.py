@@ -47,12 +47,19 @@ def _centred(sample: Sequence[float], min_n: int, what: str) -> _Centred:
     n = len(sample)
     if n < min_n:
         raise InsufficientDataError(f"{what} needs n >= {min_n}, got {n}")
-    exponent = math.frexp(max(-min(sample), max(sample)))[1]
+    # max and min find any inf, or return a nan that comes first; a nan elsewhere
+    # makes the fsum mean nan: two O(1) checks on values computed anyway, no extra pass
+    peak = max(-min(sample), max(sample))
+    if not math.isfinite(peak):
+        raise DomainError(f"{what} needs finite values, got {peak}")
+    exponent = math.frexp(peak)[1]
     if -128 <= exponent <= 128:
         exponent = 0
     else:
         sample = [math.ldexp(x, -exponent) for x in sample]
     mean = math.fsum(sample) / n
+    if not math.isfinite(mean):
+        raise DomainError(f"{what} needs finite values, got {mean}")
     deviations = [x - mean for x in sample]
     return _Centred(sample, n, mean, deviations, math.fsum(d * d for d in deviations), exponent)
 

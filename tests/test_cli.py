@@ -7,17 +7,20 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 
 import returndist
-from returndist.cli import main
+from returndist import market_data
+from returndist.cli import _load_returns, build_parser, main
 from returndist.distfit import LaplaceParams, Xoshiro256PlusPlus, sample_laplace
-from returndist.market_data import OHLCV_HEADER, returns_to_lines
+from returndist.market_data import OHLCV_HEADER, returns_to_lines, simple_returns
 
-from conftest import mutate, ohlcv_csv_from_returns, word
+from conftest import mutate, ohlcv_csv_from_returns, prices_from_returns, word
 
 
 @pytest.fixture
@@ -564,3 +567,119 @@ def test_symbol_is_file_stem(path, symbol, tmp_path, monkeypatch, capsys):
     (tmp_path / path).write_text("0.01\n-0.02\n0.03\n0.005\n-0.01\n", encoding="utf-8")
     assert main(["analyze", "--input", path, "--returns-only"]) == 0
     assert json.loads(capsys.readouterr().out)["symbol"] == symbol
+
+
+def _stream_lines(rows: int, null_every: int = 300) -> list[str]:
+    """Header and priced OHLCV lines whose close and adj close differ; each line that
+    straddles a multiple of null_every characters gets one cell "null", padded to the
+    cell's width so that no later line moves."""
+    lines = [_HEADER]
+    prices = prices_from_returns([0.01 * ((i * 7) % 5 - 2) for i in range(rows - 1)])
+    for i, p in enumerate(prices):
+        day = date(2012, 1, 3) + timedelta(days=i)
+        lines.append(f"{day},{p!r},{p * 1.01!r},{p * 0.99!r},{p!r},{p * 0.5!r},{1000 + i}")
+    start = len(lines[0]) + 1
+    for k in range(1, len(lines)):
+        end = start + len(lines[k]) + 1
+        if start // null_every != (end - 1) // null_every and k % 2:
+            cells = lines[k].split(",")
+            column = 1 + k % 6
+            cells[column] = "null".rjust(len(cells[column]))
+            lines[k] = ",".join(cells)
+        start = end
+    return lines
+
+
+def _stream_text(variant: str) -> str:
+    lines = _stream_lines(70)
+    if variant == "long-header":
+        lines[0] = ",".join(f"  {name}" + " " * 60 for name in OHLCV_HEADER)
+    elif variant == "newest-first":
+        lines[1:] = lines[:0:-1]
+    text = "\n".join(lines) + "\n"
+    if variant == "no-final-newline":
+        text = text[:-1]
+    elif variant == "bom":
+        text = "\ufeff" + text
+    elif variant == "crlf":
+        text = text.replace("\n", "\r\n")
+    return text
+
+
+@pytest.mark.parametrize("price_column", ["adj_close", "close"])
+@pytest.mark.parametrize("chunk_chars", [40, 300, 1 << 20])
+@pytest.mark.parametrize(
+    "variant", ["plain", "long-header", "no-final-newline", "bom", "crlf", "newest-first"]
+)
+def test_streamed_load_equals_row_parser(variant, chunk_chars, price_column, tmp_path,
+                                         monkeypatch):
+    monkeypatch.setattr(market_data, "_CHUNK_CHARS", chunk_chars)
+    path = tmp_path / "SPX.csv"
+    path.write_bytes(_stream_text(variant).encode("utf-8"))
+    args = build_parser().parse_args(
+        ["analyze", "--input", str(path), "--price-column", price_column]
+    )
+    series, warnings = market_data._parse_rows(path.read_text(encoding="utf-8"), "SPX")
+    expected = "SPX", simple_returns(series, price_column).values, warnings
+    assert len(warnings) >= 3
+    assert _load_returns(args) == expected
+    # the streamed parse, not the whole-file fallback, gave that result
+    with open(path, encoding="utf-8") as fh:
+        assert market_data._read_columns(fh, (price_column,)) is not None
+
+
+@pytest.mark.parametrize("chunk_chars", [300, 1 << 20])
+def test_invalid_utf8_offset_is_absolute(chunk_chars, tmp_path, monkeypatch, capsys):
+    # past the text decoder's 8192-byte buffer and past the first piece read
+    monkeypatch.setattr(market_data, "_CHUNK_CHARS", chunk_chars)
+    data = bytearray("\n".join(_stream_lines(12_000, null_every=1 << 30)).encode())
+    offset = len(data) - 50 if chunk_chars > len(data) // 2 else 20_000
+    assert offset > max(8192, chunk_chars)
+    data[offset] = 0xFF
+    path = tmp_path / "bad.csv"
+    path.write_bytes(bytes(data))
+    with pytest.raises(UnicodeDecodeError) as decoding:
+        bytes(data).decode("utf-8")
+    assert decoding.value.start == offset
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"returndist: error: {path}: not valid UTF-8 at byte {offset}\n"
+    )
+
+
+@pytest.mark.parametrize("blank_lines", [False, True], ids=["columnar", "declined"])
+def test_piped_input_equals_file(blank_lines, tmp_path, capsys):
+    # a pipe cannot be read twice, so input the streamed parser declines (blank
+    # lines) must still reach the row parser whole
+    text = ohlcv_csv_from_returns(sample_laplace(300, LaplaceParams(0.0, 0.006), 9))
+    if blank_lines:
+        text = text.replace("\n", "\n\n")
+    path = tmp_path / "stdin.csv"  # the same symbol as /dev/stdin
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", "--input", str(path)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "returndist", "analyze", "--input", "/dev/stdin"],
+        input=text.encode(),
+        env={**os.environ, "PYTHONPATH": str(Path(returndist.__file__).parent.parent)},
+        capture_output=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == capsys.readouterr().out
+
+
+def test_load_peak_memory_bounded(tmp_path):
+    # the streamed load holds the dates, one price column, the returns and one
+    # piece's cells: about 1.6 times the file at its peak; holding the whole
+    # text and all seven columns cost about 4.1
+    path = tmp_path / "BIG.csv"
+    path.write_text(ohlcv_csv_from_returns(sample_laplace(99_999, LaplaceParams(0.0, 0.006), 5)),
+                    encoding="utf-8")
+    args = build_parser().parse_args(["analyze", "--input", str(path)])
+    tracemalloc.start()
+    try:
+        _, values, _ = _load_returns(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(values) == 99_999
+    assert peak < 2.5 * path.stat().st_size

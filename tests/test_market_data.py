@@ -164,11 +164,17 @@ def _outcome(parse, text: str):
         return type(exc), str(exc)
 
 
+def _columnar(text: str):
+    """The columnar parse of the text as parse_ohlcv_csv feeds it, or None."""
+    blocks = market_data._line_blocks(market_data._text_pieces(text))
+    return market_data._parse_columns(blocks, market_data._COLUMNS)
+
+
 def _assert_paths_agree(text: str, columnar: bool) -> None:
     """parse_ohlcv_csv equals the row-wise reference, and the columnar
     path ran exactly when expected (it never raises, it declines)."""
     assert _outcome(parse_ohlcv_csv, text) == _outcome(market_data._parse_rows, text)
-    assert (market_data._parse_columns(text, "X") is not None) == columnar
+    assert (_columnar(text) is not None) == columnar
 
 
 ROW_1 = "2012-01-03,100,101,99,100.5,100.5,1000"
@@ -244,12 +250,13 @@ class TestColumnarPath:
             make_csv(ROW_1, _with(ROW_2, 1, "0")),
             make_csv(ROW_1, _with(ROW_2, 6, "9" * 140_000)),
             make_csv(ROW_1, _with(ROW_2, 0, "2012-01-0\udcff")),
+            HEADER.replace(",", "," + " " * 140_000, 1) + "\n" + ROW_1 + "\n" + ROW_2 + "\n",
         ],
         ids=[
             "empty", "header-only", "header-no-newline", "bad-header", "duplicate-date",
             "unsorted-duplicate-date", "extra-field", "missing-field", "bad-date", "bad-price",
             "float-volume", "negative-volume", "nan-price", "inf-price", "negative-zero-price",
-            "zero-price", "field-over-csv-limit", "surrogate",
+            "zero-price", "field-over-csv-limit", "surrogate", "header-field-over-csv-limit",
         ],
     )
     def test_errors_come_from_row_parser(self, text):
@@ -267,7 +274,7 @@ class TestColumnarPath:
             text = mutate(valid, rng).decode("utf-8", "surrogateescape")
             reference = _outcome(market_data._parse_rows, text)
             assert _outcome(parse_ohlcv_csv, text) == reference, (case, text)
-            columnar += market_data._parse_columns(text, "X") is not None
+            columnar += _columnar(text) is not None
         assert 0 < columnar < 300
 
     @pytest.mark.parametrize("order", ["oldest-first", "newest-first", "shuffled"])
@@ -287,7 +294,7 @@ class TestColumnarPath:
         assert (series, warnings) == market_data._parse_rows(text, "X")
         assert warnings == [f"line {k + 1}: null field, row skipped" for k in (100, 900, 1500)]
         assert len(series) == 1876
-        assert market_data._parse_columns(text, "X") is not None
+        assert _columnar(text) is not None
 
     @pytest.mark.parametrize("bad_cells", [",null,1,1,1,1,1", ",1,1,1,1,1,-1"])
     def test_row_first_in_later_chunk(self, monkeypatch, bad_cells):
@@ -295,9 +302,10 @@ class TestColumnarPath:
         monkeypatch.setattr(market_data, "_CHUNK_CHARS", chunk_chars)
         lines = ohlcv_csv_from_returns([0.001] * 30).splitlines()
         text = "\n".join(lines) + "\n"
-        # the first chunk ends at the first newline chunk_chars past its start
-        first_end = text.find("\n", text.find("\n") + 1 + chunk_chars)
+        # the first block ends at the last newline in the first chunk_chars characters
+        first_end = text.rfind("\n", 0, chunk_chars)
         k = text.count("\n", 0, first_end + 1)
+        assert 1 < k and text.find("\n", first_end + 1) >= chunk_chars  # line k straddles
         lines[k] = lines[k].partition(",")[0] + bad_cells
         text = "\n".join(lines) + "\n"
         _assert_paths_agree(text, columnar="null" in bad_cells)

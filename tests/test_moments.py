@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from returndist.distfit import (
     LaplaceParams,
     NormalParams,
     Xoshiro256PlusPlus,
+    fit_laplace,
+    fit_normal,
     sample_laplace,
     sample_normal,
 )
 from returndist.errors import DegenerateSampleError, DomainError, InsufficientDataError
+from returndist.gof import compare_fits
 from returndist.moments import central_moment, excess_kurtosis, moment_report, skewness
+from returndist.normality import shapiro_wilk
 
 from conftest import word
 
@@ -139,3 +145,21 @@ class TestMomentReport:
     def test_too_small(self):
         with pytest.raises(InsufficientDataError):
             moment_report([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        ("sample", "found"),
+        [
+            ([1e308, 1e308, math.inf, 0.0], "inf"),
+            ([math.inf, 1.0, 2.0, 3.0], "inf"),
+            ([1.0, math.nan, 2.0, 3.0], "nan"),
+            ([math.nan, 1.0, 2.0, 3.0], "nan"),
+            ([1.0, 2.0, math.nan, -math.inf], "inf"),
+        ],
+    )
+    def test_non_finite_rejected(self, sample, found):
+        with pytest.raises(DomainError, match=f"^moment report needs finite values, got {found}$"):
+            moment_report(sample)
+        # every reader of the centred sample refuses it the same way
+        for reader in (shapiro_wilk, compare_fits, fit_normal, fit_laplace, skewness):
+            with pytest.raises(DomainError, match=f"needs finite values, got {found}$"):
+                reader(sample)
