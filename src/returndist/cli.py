@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 data/format error,
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
@@ -17,13 +16,12 @@ from .distfit import LaplaceParams, NormalParams, sample_laplace, sample_normal
 from .errors import DataFormatError, DomainError, InsufficientDataError
 from .market_data import (
     PRICE_FIELDS,
-    _parse_rows,
-    _read_columns,
+    _decoded_pieces,
+    _line_blocks,
+    _parse_columns,
     _returns,
-    parse_ohlcv_csv,
     parse_return_lines,
     returns_to_lines,
-    simple_returns,
 )
 from .report import (
     analyze_returns,
@@ -111,36 +109,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_all(fh: io.TextIOBase, path: str) -> str:
-    try:
-        return fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
-
-
 def _load_returns(args: argparse.Namespace) -> tuple[str, Sequence[float], list[str]]:
     path = args.input
     # the name less its last suffix, as pathlib's stem: "a.tar.gz" -> "a.tar"; "foo." and ".rc" kept
     name = os.path.basename(path)
     dot = name.rfind(".")
     symbol = name[:dot] if 0 < dot < len(name) - 1 else name
-    # text mode, so CRLF, CR and a BOM reach the parsers as a whole-file read gives them
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        pieces = _decoded_pieces(fh, path)
         if args.returns_only:
-            return symbol, parse_return_lines(_read_all(fh, path)), []
-        if not fh.seekable():  # a pipe cannot be read twice, so it is read whole
-            series, warnings = parse_ohlcv_csv(_read_all(fh, path), symbol)
-        else:
-            try:
-                parsed = _read_columns(fh, (args.price_column,))
-            except UnicodeDecodeError:  # at an offset in the decoder's buffer, not in the file
-                parsed = None
-            if parsed is not None:
-                dates, (column,), warnings = parsed
-                return symbol, _returns(dates, column), warnings
-            fh.seek(0)
-            series, warnings = _parse_rows(_read_all(fh, path), symbol)
-    return symbol, simple_returns(series, args.price_column).values, warnings
+            return symbol, parse_return_lines("".join(pieces)), []
+        try:
+            dates, (column,), warnings = _parse_columns(_line_blocks(pieces), (args.price_column,))
+        except DataFormatError:
+            # invalid UTF-8 anywhere in the file is the error reported, as a whole-file read gives it
+            for _ in pieces:
+                pass
+            raise
+    return symbol, _returns(dates, column), warnings
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from datetime import date
-from functools import partial
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 
 from ._record import Record
 from .errors import (
@@ -26,8 +26,9 @@ PRICE_FIELDS = ("adj_close", "close")
 # the five price columns as error messages name them: "open" ... "adj close"
 _PRICE_NAMES = tuple(name.lower() for name in OHLCV_HEADER[1:6])
 
-# characters per piece of text fed to the columnar parser; each block of whole
-# lines it makes ends at a piece's last newline, which bounds the cells alive at once
+# characters per piece of text fed to the columnar parser, and bytes per read of a
+# file; each block of whole lines it makes ends at a piece's last newline, which
+# bounds the cells alive at once
 _CHUNK_CHARS = 1 << 20
 
 
@@ -74,177 +75,208 @@ def _parse_price(raw: str, lineno: int, column: str) -> float:
     return value
 
 
-def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
-    """Each CSV record with the physical line it starts on."""
-    # exhausting the generator frees the reader's 4-byte-per-character copy of the text
-    reader = csv.reader(io.StringIO(text))
-    lineno = 1
+def _parse_rows(
+    blocks: Iterable[str], lineno: int, seen: set[date], keep: Sequence[str]
+) -> tuple[list[date], dict[str, list], list[int], int]:
+    """The csv-module parser: any input, every check and message, row by row.
+    Gives ``_parse_block``'s result for the blocks from line ``lineno`` to the
+    end; ``seen`` holds the dates before that line."""
+    # the blocks end at newlines, so the lines read are the lines of the text
+    reader = csv.reader(chain.from_iterable(map(io.StringIO, blocks)))
+    offset = lineno - 1
+    dates: list[date] = []
+    kept: dict[str, list] = {name: [] for name in keep}
+    null_lines: list[int] = []
+    picks = [(_COLUMNS.index(name), kept[name]) for name in keep]
     try:
         for row in reader:
-            yield lineno, row
-            lineno = reader.line_num + 1
+            line, lineno = lineno, offset + reader.line_num + 1
+            if line == 1:
+                if row:
+                    row[0] = row[0].lstrip("\ufeff")
+                if tuple(col.strip() for col in row) != OHLCV_HEADER:
+                    raise DataFormatError(
+                        f"unknown header {','.join(row)!r}; expected {','.join(OHLCV_HEADER)!r}"
+                    )
+                continue
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(OHLCV_HEADER):
+                raise DataFormatError(
+                    f"line {line}: expected {len(OHLCV_HEADER)} fields, got {len(row)}"
+                )
+            if any(cell.strip() == "null" for cell in row[1:]):
+                null_lines.append(line)
+                continue
+            try:
+                row_date = date.fromisoformat(row[0].strip())
+            except ValueError:
+                raise DataFormatError(f"line {line}: unparsable date {row[0]!r}") from None
+            if row_date in seen:
+                raise DataFormatError(f"line {line}: duplicate date {row_date.isoformat()}")
+            values = [_parse_price(raw, line, name) for raw, name in zip(row[1:6], _PRICE_NAMES)]
+            try:
+                volume = int(row[6].strip())
+            except ValueError:
+                raise DataFormatError(f"line {line}: unparsable volume {row[6]!r}") from None
+            if volume < 0:
+                raise DataFormatError(f"line {line}: negative volume {volume}")
+            values.append(volume)
+            seen.add(row_date)
+            dates.append(row_date)
+            for k, column in picks:
+                column.append(values[k])
     except csv.Error as exc:
-        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
-
-
-def _parse_rows(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
-    """The csv-module parser: any input, every check and message, row by row."""
-    records = _csv_records(text)
-    _, header = next(records, (1, None))
-    if header is None:
-        raise DataFormatError("missing CSV header")
-    if header:
-        header[0] = header[0].lstrip("\ufeff")
-    if tuple(col.strip() for col in header) != OHLCV_HEADER:
-        raise DataFormatError(
-            f"unknown header {','.join(header)!r}; expected {','.join(OHLCV_HEADER)!r}"
-        )
-
-    rows: dict[date, tuple] = {}
-    warnings: list[str] = []
-    for lineno, row in records:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(OHLCV_HEADER):
-            raise DataFormatError(
-                f"line {lineno}: expected {len(OHLCV_HEADER)} fields, got {len(row)}"
-            )
-        if any(cell.strip() == "null" for cell in row[1:]):
-            warnings.append(f"line {lineno}: null field, row skipped")
-            continue
-        try:
-            row_date = date.fromisoformat(row[0].strip())
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: unparsable date {row[0]!r}") from None
-        if row_date in rows:
-            raise DataFormatError(f"line {lineno}: duplicate date {row_date.isoformat()}")
-        prices = [_parse_price(raw, lineno, name) for raw, name in zip(row[1:6], _PRICE_NAMES)]
-        try:
-            volume = int(row[6].strip())
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: unparsable volume {row[6]!r}") from None
-        if volume < 0:
-            raise DataFormatError(f"line {lineno}: negative volume {volume}")
-        rows[row_date] = (*prices, volume)
-
-    if not rows and not warnings:
-        raise EmptyInputError("CSV contains no data rows")
-    dates = tuple(sorted(rows))
-    columns = list(zip(*map(rows.get, dates))) or [()] * (len(OHLCV_HEADER) - 1)
-    return PriceSeries(symbol, dates, *columns), warnings
+        raise DataFormatError(f"line {offset + reader.line_num}: {exc}") from None
+    return dates, kept, null_lines, lineno
 
 
 def _line_blocks(pieces: Iterable[str]) -> Iterator[str]:
-    """The text that the pieces join to, as blocks of whole lines without their
-    final newline: one block per piece that holds a newline, ending at its last
+    """The text that the pieces join to, as blocks of whole lines that join
+    back to it: one block per piece that holds a newline, ending with its last
     one, and the text after the last newline as a block of its own. A piece
     without a newline joins the next block, so a line may span any number of
     pieces."""
     tail = ""
     for piece in pieces:
-        cut = piece.rfind("\n")
-        if cut < 0:
-            tail += piece
-        else:
+        cut = piece.rfind("\n") + 1
+        if cut:
             yield tail + piece[:cut]
-            tail = piece[cut + 1 :]
+            tail = piece[cut:]
+        else:
+            tail += piece
     if tail:
         yield tail
 
 
 def _parse_block(
-    block: str, lineno: int, dates: list[date], kept: dict[str, list], warnings: list[str]
-) -> int | None:
-    """Append one block's dates, kept columns and warnings; return the line number
-    after the block, or None where ``_parse_columns`` declines. Its lines and cells
-    die on return, before the next block is read."""
+    block: str, lineno: int, keep: Sequence[str]
+) -> tuple[list[date], dict[str, list], list[int], int] | None:
+    """One block's dates, columns named in ``keep`` and null-row lines, and the
+    line number after it; or None where ``_parse_columns`` hands the block to
+    the row parser. Its lines and cells die on return, before the next block
+    is read."""
     if '"' in block or "\r" in block or "\0" in block:
         return None
-    lines = block.split("\n")
+    lines = block.removesuffix("\n").split("\n")
     if max(map(len, lines)) > csv.field_size_limit():
         return None
     if lineno == 1:
         header = lines.pop(0).lstrip("\ufeff").split(",")
         if tuple(col.strip() for col in header) != OHLCV_HEADER:
             return None
-        if not lines:
-            return 2
         lineno = 2
-    if set(map(str.count, lines, repeat(","))) != {6}:
+    if not set(map(str.count, lines, repeat(","))) <= {6}:
         return None
+    null_lines = []
     for i in compress(range(len(lines)), map(operator.contains, lines, repeat("null"))):
         if any(cell.strip() == "null" for cell in lines[i].split(",")[1:]):
-            warnings.append(f"line {lineno + i}: null field, row skipped")
+            null_lines.append(lineno + i)
             lines[i] = ""
     cells = ",".join(filter(None, lines)).split(",")
-    if cells == [""]:  # every line of the block was a null row
-        return lineno + len(lines)
+    if cells == [""]:  # no priced line: the header alone, or only null rows
+        return [], {}, null_lines, lineno + len(lines)
+    kept = {}
     # the values are checked as they are converted, so a bad cell stops the pass at its block
     try:
-        dates += map(date.fromisoformat, cells[0::7])
+        dates = list(map(date.fromisoformat, cells[0::7]))
         for k, name in enumerate(_COLUMNS[:5], start=1):
             values = list(map(float, cells[k::7]))
             if not all(map(math.isfinite, values)) or min(values) <= 0.0:
                 return None
-            if name in kept:
-                kept[name] += values
+            if name in keep:
+                kept[name] = values
         values = list(map(int, cells[6::7]))
     except ValueError:
         return None
     if min(values) < 0:
         return None
-    if "volume" in kept:
-        kept["volume"] += values
-    return lineno + len(lines)
+    if "volume" in keep:
+        kept["volume"] = values
+    return dates, kept, null_lines, lineno + len(lines)
+
+
+def _duplicate_error(dates: list[date], null_lines: list[int]) -> DataFormatError:
+    """The error for the first date that repeats an earlier one, where each row
+    takes one line after the header and the null rows sit at ``null_lines``."""
+    seen: set[date] = set()
+    for i, day in enumerate(dates):
+        if day in seen:
+            break
+        seen.add(day)
+    lineno = i + 2
+    for null_line in null_lines:  # each null row at or before the row moves it a line on
+        if null_line > lineno:
+            break
+        lineno += 1
+    return DataFormatError(f"line {lineno}: duplicate date {day.isoformat()}")
 
 
 def _parse_columns(
-    blocks: Iterable[str], keep: Sequence[str]
-) -> tuple[list[date], list[list], list[str]] | None:
-    """The dates, the columns named in ``keep`` and the warnings of a plain
-    LF OHLCV text given as ``_line_blocks``, in ascending date order.
+    blocks: Iterator[str], keep: Sequence[str]
+) -> tuple[list[date], list[list], list[str]]:
+    """The dates, the columns named in ``keep`` and the warnings of an OHLCV
+    text given as ``_line_blocks``, in ascending date order.
 
     Each block is checked and converted whole, then dropped, so only one
     block's lines and cells are alive at a time; of the converted cells only
     the dates and the kept columns stay. Every cell is checked, kept or not.
-    Returns None, having raised nothing, when the text could parse
-    differently from ``_parse_rows`` or fails any of its checks: quotes, CR
-    or NUL, a bad header, a line without exactly seven fields or over the
-    csv field limit, an unconvertible cell, a non-finite or non-positive
-    price, a negative volume, a duplicate date, or no priced row. Otherwise
-    the dates, kept columns and warnings equal ``_parse_rows``'s.
+    From the first block ``_parse_block`` declines (quotes, CR or NUL, a bad
+    header, a line without seven fields or over the csv field limit, a bad
+    cell), ``_parse_rows`` reads row by row to the end. The result and every
+    error equal those of ``_parse_rows`` over the whole text.
     """
     dates: list[date] = []
     kept: dict[str, list] = {name: [] for name in keep}
-    warnings: list[str] = []
-    lineno: int | None = 1
+    null_lines: list[int] = []
+    lineno = 1
     for block in blocks:
-        lineno = _parse_block(block, lineno, dates, kept, warnings)
-        if lineno is None:
-            return None
-    if not dates:
-        return None
+        parsed = _parse_block(block, lineno, keep)
+        if parsed is None:  # the row parser reads this block and every block after it
+            seen = set(dates)
+            if len(seen) < len(dates):  # a repeat before this block is the first error
+                raise _duplicate_error(dates, null_lines)
+            parsed = _parse_rows(chain((block,), blocks), lineno, seen, keep)
+        block_dates, block_kept, block_nulls, lineno = parsed
+        dates += block_dates
+        for name, values in block_kept.items():
+            kept[name] += values
+        null_lines += block_nulls
+    if lineno == 1:
+        raise DataFormatError("missing CSV header")
+    if not dates and not null_lines:
+        raise EmptyInputError("CSV contains no data rows")
     columns = list(kept.values())
     if not all(map(operator.lt, dates, islice(dates, 1, None))):
-        # rows out of date order (a newest-first export) are sorted here, as _parse_rows does
+        # rows out of date order (a newest-first export) are sorted here
         order = sorted(range(len(dates)), key=dates.__getitem__)
-        dates = list(map(dates.__getitem__, order))
-        if not all(map(operator.lt, dates, islice(dates, 1, None))):
-            return None  # a duplicate date, which _parse_rows reports with its line
+        in_order = list(map(dates.__getitem__, order))
+        if not all(map(operator.lt, in_order, islice(in_order, 1, None))):
+            # only the column pass lets a repeat through, so the rows are one line each
+            raise _duplicate_error(dates, null_lines)
+        dates = in_order
         columns = [list(map(column.__getitem__, order)) for column in columns]
-    return dates, columns, warnings
+    return dates, columns, [f"line {n}: null field, row skipped" for n in null_lines]
 
 
-def _text_pieces(text: str) -> Iterator[str]:
-    """The text in slices of ``_CHUNK_CHARS`` characters."""
-    return (text[i : i + _CHUNK_CHARS] for i in range(0, len(text), _CHUNK_CHARS))
-
-
-def _read_columns(
-    fh: io.TextIOBase, keep: Sequence[str]
-) -> tuple[list[date], list[list], list[str]] | None:
-    """``_parse_columns`` on a text file read ``_CHUNK_CHARS`` characters at a time."""
-    return _parse_columns(_line_blocks(iter(partial(fh.read, _CHUNK_CHARS), "")), keep)
+def _decoded_pieces(fh: io.BufferedIOBase, path: str) -> Iterator[str]:
+    """The text of a binary file, as a text-mode read gives it (CRLF and CR
+    read as LF, a BOM kept), decoded ``_CHUNK_CHARS`` bytes at a time."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
+    done = 0  # the bytes read before this read
+    final = False
+    while not final:
+        raw = fh.read(_CHUNK_CHARS)
+        final = not raw
+        try:
+            text = decoder.decode(raw, final)
+        except UnicodeDecodeError as exc:
+            # exc.object is the bytes the decoder held back from earlier reads, then raw
+            start = done + len(raw) - len(exc.object) + exc.start
+            raise DataFormatError(f"{path}: not valid UTF-8 at byte {start}") from None
+        done += len(raw)
+        del raw
+        yield text
 
 
 def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
@@ -254,15 +286,13 @@ def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
     returned warnings list. Raises DataFormatError for a bad header,
     malformed CSV, unparsable fields, non-positive prices, or duplicate
     dates, and EmptyInputError when there are no data rows at all.
-    Plain LF files without quotes or blank lines are fed to the columnar
-    parser in ``_CHUNK_CHARS``-character slices, each cut back to its last
-    newline and converted a column at a time; any other input, and every
-    error, goes through the csv module row by row, with the same result.
+    The text is cut into ``_CHUNK_CHARS``-character slices, each cut back
+    to its last newline, and plain LF lines are converted a column at a
+    time; from the first slice with anything else (quotes, blank lines) or
+    a bad cell, the csv module reads row by row, with the same results.
     """
-    parsed = _parse_columns(_line_blocks(_text_pieces(text)), _COLUMNS)
-    if parsed is None:
-        return _parse_rows(text, symbol)
-    dates, columns, warnings = parsed
+    pieces = (text[i : i + _CHUNK_CHARS] for i in range(0, len(text), _CHUNK_CHARS))
+    dates, columns, warnings = _parse_columns(_line_blocks(pieces), _COLUMNS)
     return PriceSeries(symbol, tuple(dates), *map(tuple, columns)), warnings
 
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import re
+from collections.abc import Iterator
 from datetime import date, timedelta
+from unittest import mock
 
+from returndist import market_data
 from returndist.distfit import (
     LaplaceParams,
     NormalParams,
@@ -14,7 +18,7 @@ from returndist.distfit import (
     _lower_quantiles,
     _normal_cdfs,
 )
-from returndist.market_data import OHLCV_HEADER
+from returndist.market_data import OHLCV_HEADER, PriceSeries, parse_ohlcv_csv
 
 
 def prices_from_returns(returns: list[float], start: float = 100.0) -> list[float]:
@@ -37,6 +41,29 @@ def ohlcv_csv_from_prices(prices: list[float]) -> str:
 
 def ohlcv_csv_from_returns(returns: list[float], start: float = 100.0) -> str:
     return ohlcv_csv_from_prices(prices_from_returns(returns, start))
+
+
+def parse_rows_only(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
+    """The reference parse: ``parse_ohlcv_csv`` with the column pass declining
+    every block, so the csv-module row parser reads the whole text from line 1."""
+    with mock.patch.object(market_data, "_parse_block", lambda *args: None):
+        return parse_ohlcv_csv(text, symbol)
+
+
+@contextlib.contextmanager
+def row_parser_calls() -> Iterator[list[tuple[int, str]]]:
+    """Each call of the row parser made within the block, as the line it
+    starts at and the text of the blocks handed to it."""
+    calls: list[tuple[int, str]] = []
+    parse_rows = market_data._parse_rows
+
+    def spy(blocks, lineno, *rest):
+        blocks = list(blocks)
+        calls.append((lineno, "".join(blocks)))
+        return parse_rows(iter(blocks), lineno, *rest)
+
+    with mock.patch.object(market_data, "_parse_rows", spy):
+        yield calls
 
 
 def laplace_cdf(x: float, p: LaplaceParams) -> float:

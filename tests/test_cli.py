@@ -20,7 +20,14 @@ from returndist.cli import _load_returns, build_parser, main
 from returndist.distfit import LaplaceParams, Xoshiro256PlusPlus, sample_laplace
 from returndist.market_data import OHLCV_HEADER, returns_to_lines, simple_returns
 
-from conftest import mutate, ohlcv_csv_from_returns, prices_from_returns, word
+from conftest import (
+    mutate,
+    ohlcv_csv_from_returns,
+    parse_rows_only,
+    prices_from_returns,
+    row_parser_calls,
+    word,
+)
 
 
 @pytest.fixture
@@ -619,13 +626,12 @@ def test_streamed_load_equals_row_parser(variant, chunk_chars, price_column, tmp
     args = build_parser().parse_args(
         ["analyze", "--input", str(path), "--price-column", price_column]
     )
-    series, warnings = market_data._parse_rows(path.read_text(encoding="utf-8"), "SPX")
+    series, warnings = parse_rows_only(path.read_text(encoding="utf-8"), "SPX")
     expected = "SPX", simple_returns(series, price_column).values, warnings
     assert len(warnings) >= 3
-    assert _load_returns(args) == expected
-    # the streamed parse, not the whole-file fallback, gave that result
-    with open(path, encoding="utf-8") as fh:
-        assert market_data._read_columns(fh, (price_column,)) is not None
+    with row_parser_calls() as calls:
+        assert _load_returns(args) == expected
+    assert calls == []  # the column pass alone gave that result
 
 
 @pytest.mark.parametrize("chunk_chars", [300, 1 << 20])
@@ -647,13 +653,47 @@ def test_invalid_utf8_offset_is_absolute(chunk_chars, tmp_path, monkeypatch, cap
     )
 
 
-@pytest.mark.parametrize("blank_lines", [False, True], ids=["columnar", "declined"])
-def test_piped_input_equals_file(blank_lines, tmp_path, capsys):
-    # a pipe cannot be read twice, so input the streamed parser declines (blank
-    # lines) must still reach the row parser whole
-    text = ohlcv_csv_from_returns(sample_laplace(300, LaplaceParams(0.0, 0.006), 9))
-    if blank_lines:
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("bad", ["header", "first-block-cell"])
+def test_invalid_utf8_reported_before_parse_error(bad, source, tmp_path, capsys):
+    # the parse fails in the first block, but the invalid byte 2 MiB on is the error named
+    lines = _stream_lines(3, null_every=1 << 30)
+    if bad == "header":
+        lines[0] = lines[0].replace("Volume", "Vol")
+    else:
+        lines[1] = lines[1].replace(",", ",x", 1)
+    data = bytearray("\n".join(lines + lines[2:] * 40_000).encode())
+    offset = (2 << 20) + 7
+    data[offset] = 0xFF
+    if source == "file":
+        path = tmp_path / "bad.csv"
+        path.write_bytes(bytes(data))
+        code, err = main(["analyze", "--input", str(path)]), capsys.readouterr().err
+    else:
+        path = "/dev/stdin"
+        proc = subprocess.run(
+            [sys.executable, "-m", "returndist", "analyze", "--input", path],
+            input=bytes(data),
+            env={**os.environ, "PYTHONPATH": str(Path(returndist.__file__).parent.parent)},
+            capture_output=True,
+        )
+        code, err = proc.returncode, proc.stderr.decode()
+    assert (code, err) == (2, f"returndist: error: {path}: not valid UTF-8 at byte {offset}\n")
+
+
+@pytest.mark.parametrize("variant", ["columnar", "declined", "late-quoted"])
+def test_piped_input_equals_file(variant, tmp_path, capsys):
+    # a pipe cannot be read twice: the row parser carries on in the same read,
+    # from the first line (blank lines) or from a later block (a quoted cell)
+    n = 12_000 if variant == "late-quoted" else 300
+    text = ohlcv_csv_from_returns(sample_laplace(n, LaplaceParams(0.0, 0.006), 9))
+    if variant == "declined":
         text = text.replace("\n", "\n\n")
+    elif variant == "late-quoted":
+        head, _, last = text[:-1].rpartition("\n")
+        assert len(head) > 1 << 20  # past the first piece read
+        quoted = '","'.join(last.split(","))
+        text = f'{head}\n"{quoted}"\n'
     path = tmp_path / "stdin.csv"  # the same symbol as /dev/stdin
     path.write_text(text, encoding="utf-8")
     assert main(["analyze", "--input", str(path)]) == 0
@@ -667,13 +707,10 @@ def test_piped_input_equals_file(blank_lines, tmp_path, capsys):
     assert proc.stdout.decode() == capsys.readouterr().out
 
 
-def test_load_peak_memory_bounded(tmp_path):
-    # the streamed load holds the dates, one price column, the returns and one
-    # piece's cells: about 1.6 times the file at its peak; holding the whole
-    # text and all seven columns cost about 4.1
+def _load_peak_ratio(text: str, tmp_path) -> float:
+    """The tracemalloc peak of loading a 100k-row CSV, over the file's size."""
     path = tmp_path / "BIG.csv"
-    path.write_text(ohlcv_csv_from_returns(sample_laplace(99_999, LaplaceParams(0.0, 0.006), 5)),
-                    encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     args = build_parser().parse_args(["analyze", "--input", str(path)])
     tracemalloc.start()
     try:
@@ -682,4 +719,23 @@ def test_load_peak_memory_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(values) == 99_999
-    assert peak < 2.5 * path.stat().st_size
+    return peak / path.stat().st_size
+
+
+def _big_csv() -> str:
+    return ohlcv_csv_from_returns(sample_laplace(99_999, LaplaceParams(0.0, 0.006), 5))
+
+
+def test_load_peak_memory_bounded(tmp_path):
+    # the streamed load holds the dates, one price column, the returns and one
+    # piece's cells: about 1.6 times the file at its peak; holding the whole
+    # text and all seven columns cost about 4.1
+    assert _load_peak_ratio(_big_csv(), tmp_path) < 2.5
+
+
+def test_declined_load_peak_memory_bounded(tmp_path):
+    # a quoted first date sends every row to the row parser, which keeps the
+    # same dates and one column; re-reading the whole text cost about 8 times the file
+    header, _, rows = _big_csv().partition("\n")
+    day, _, rest = rows.partition(",")
+    assert _load_peak_ratio(f'{header}\n"{day}",{rest}', tmp_path) < 2.5

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from datetime import date, timedelta
+from itertools import accumulate
 
 import pytest
 
@@ -25,7 +26,7 @@ from returndist.market_data import (
     simple_returns,
 )
 
-from conftest import mutate, ohlcv_csv_from_returns, word
+from conftest import mutate, ohlcv_csv_from_returns, parse_rows_only, row_parser_calls, word
 
 HEADER = ",".join(OHLCV_HEADER)
 
@@ -164,17 +165,13 @@ def _outcome(parse, text: str):
         return type(exc), str(exc)
 
 
-def _columnar(text: str):
-    """The columnar parse of the text as parse_ohlcv_csv feeds it, or None."""
-    blocks = market_data._line_blocks(market_data._text_pieces(text))
-    return market_data._parse_columns(blocks, market_data._COLUMNS)
-
-
 def _assert_paths_agree(text: str, columnar: bool) -> None:
-    """parse_ohlcv_csv equals the row-wise reference, and the columnar
-    path ran exactly when expected (it never raises, it declines)."""
-    assert _outcome(parse_ohlcv_csv, text) == _outcome(market_data._parse_rows, text)
-    assert (_columnar(text) is not None) == columnar
+    """parse_ohlcv_csv equals the row-wise reference, and the row parser ran
+    exactly when expected (the column pass declines, it never raises)."""
+    with row_parser_calls() as calls:
+        outcome = _outcome(parse_ohlcv_csv, text)
+    assert outcome == _outcome(parse_rows_only, text)
+    assert (not calls) == columnar
 
 
 ROW_1 = "2012-01-03,100,101,99,100.5,100.5,1000"
@@ -210,47 +207,51 @@ class TestColumnarPath:
         _assert_paths_agree(text, columnar=True)
 
     @pytest.mark.parametrize(
-        "text",
+        "text, columnar",
         [
-            make_csv(ROW_1, ROW_2).replace("\n", "\r\n"),
-            make_csv(ROW_1, _with(ROW_2, 1, '"101"')),
-            HEADER + "\n\n" + ROW_1 + "\n\n" + ROW_2 + "\n",
-            make_csv(ROW_1, " , , , , , , ", ROW_2),
-            make_csv(ROW_1, _with(ROW_2, 0, " 2012-01-04")),
-            make_csv(ROW_1, ROW_2 + "\0"),
-            make_csv(ROW_1, _with(_with(ROW_2, 1, "0" * 70_000 + "101"), 2, "0" * 70_000 + "102")),
-            make_csv("2012-01-03,null,null,null,null,null,null"),
+            (make_csv(ROW_1, ROW_2).replace("\n", "\r\n"), False),
+            (make_csv(ROW_1, _with(ROW_2, 1, '"101"')), False),
+            (HEADER + "\n\n" + ROW_1 + "\n\n" + ROW_2 + "\n", False),
+            (make_csv(ROW_1, " , , , , , , ", ROW_2), False),
+            (make_csv(ROW_1, _with(ROW_2, 0, " 2012-01-04")), False),
+            (make_csv(ROW_1, ROW_2 + "\0"), False),
+            (make_csv(ROW_1, _with(_with(ROW_2, 1, "0" * 70_000 + "101"), 2, "0" * 70_000 + "102")),
+             False),
+            (make_csv("2012-01-03,null,null,null,null,null,null"), True),
         ],
         ids=[
             "crlf", "quoted-field", "blank-lines", "whitespace-row", "spaced-date", "nul",
             "line-over-csv-limit", "all-null",
         ],
     )
-    def test_fallback_inputs(self, text):
-        _assert_paths_agree(text, columnar=False)
+    def test_fallback_inputs(self, text, columnar):
+        _assert_paths_agree(text, columnar)
 
+    # an empty or header-only text and a duplicate date are errors the
+    # column pass raises itself, having read every block
     @pytest.mark.parametrize(
-        "text",
+        "text, columnar",
         [
-            "",
-            HEADER + "\n",
-            HEADER,
-            "Date,Open,Close\n2012-01-03,1,2\n",
-            make_csv(ROW_1, ROW_1),
-            make_csv(ROW_2, ROW_1, ROW_3, ROW_1),
-            make_csv(ROW_1, ROW_2 + ",5"),
-            make_csv(ROW_1, ROW_2.rpartition(",")[0]),
-            make_csv(ROW_1, _with(ROW_2, 0, "03/01/2012")),
-            make_csv(ROW_1, _with(ROW_2, 2, "abc")),
-            make_csv(ROW_1, _with(ROW_2, 6, "1.5")),
-            make_csv(ROW_1, _with(ROW_2, 6, "-1")),
-            make_csv(ROW_1, _with(ROW_2, 4, "nan")),
-            make_csv(ROW_1, _with(ROW_2, 5, "inf")),
-            make_csv(ROW_1, _with(ROW_2, 3, "-0.0")),
-            make_csv(ROW_1, _with(ROW_2, 1, "0")),
-            make_csv(ROW_1, _with(ROW_2, 6, "9" * 140_000)),
-            make_csv(ROW_1, _with(ROW_2, 0, "2012-01-0\udcff")),
-            HEADER.replace(",", "," + " " * 140_000, 1) + "\n" + ROW_1 + "\n" + ROW_2 + "\n",
+            ("", True),
+            (HEADER + "\n", True),
+            (HEADER, True),
+            ("Date,Open,Close\n2012-01-03,1,2\n", False),
+            (make_csv(ROW_1, ROW_1), True),
+            (make_csv(ROW_2, ROW_1, ROW_3, ROW_1), True),
+            (make_csv(ROW_1, ROW_2 + ",5"), False),
+            (make_csv(ROW_1, ROW_2.rpartition(",")[0]), False),
+            (make_csv(ROW_1, _with(ROW_2, 0, "03/01/2012")), False),
+            (make_csv(ROW_1, _with(ROW_2, 2, "abc")), False),
+            (make_csv(ROW_1, _with(ROW_2, 6, "1.5")), False),
+            (make_csv(ROW_1, _with(ROW_2, 6, "-1")), False),
+            (make_csv(ROW_1, _with(ROW_2, 4, "nan")), False),
+            (make_csv(ROW_1, _with(ROW_2, 5, "inf")), False),
+            (make_csv(ROW_1, _with(ROW_2, 3, "-0.0")), False),
+            (make_csv(ROW_1, _with(ROW_2, 1, "0")), False),
+            (make_csv(ROW_1, _with(ROW_2, 6, "9" * 140_000)), False),
+            (make_csv(ROW_1, _with(ROW_2, 0, "2012-01-0\udcff")), False),
+            (HEADER.replace(",", "," + " " * 140_000, 1) + "\n" + ROW_1 + "\n" + ROW_2 + "\n",
+             False),
         ],
         ids=[
             "empty", "header-only", "header-no-newline", "bad-header", "duplicate-date",
@@ -259,10 +260,10 @@ class TestColumnarPath:
             "zero-price", "field-over-csv-limit", "surrogate", "header-field-over-csv-limit",
         ],
     )
-    def test_errors_come_from_row_parser(self, text):
+    def test_errors_come_from_row_parser(self, text, columnar):
         with pytest.raises((DataFormatError, EmptyInputError)):
             parse_ohlcv_csv(text, "X")
-        _assert_paths_agree(text, columnar=False)
+        _assert_paths_agree(text, columnar)
 
     @pytest.mark.parametrize("chunk_chars", [1 << 20, 40])
     def test_mutations_match_row_parser(self, monkeypatch, chunk_chars):
@@ -272,9 +273,10 @@ class TestColumnarPath:
         columnar = 0
         for case in range(300):
             text = mutate(valid, rng).decode("utf-8", "surrogateescape")
-            reference = _outcome(market_data._parse_rows, text)
-            assert _outcome(parse_ohlcv_csv, text) == reference, (case, text)
-            columnar += _columnar(text) is not None
+            with row_parser_calls() as calls:
+                outcome = _outcome(parse_ohlcv_csv, text)
+            assert outcome == _outcome(parse_rows_only, text), (case, text)
+            columnar += not calls
         assert 0 < columnar < 300
 
     @pytest.mark.parametrize("order", ["oldest-first", "newest-first", "shuffled"])
@@ -290,11 +292,12 @@ class TestColumnarPath:
         for k in (100, 900, 1500):
             lines[k] = lines[k].partition(",")[0] + ",null,null,null,null,null,null"
         text = "\n".join(lines) + "\n"
-        series, warnings = parse_ohlcv_csv(text, "X")
-        assert (series, warnings) == market_data._parse_rows(text, "X")
+        with row_parser_calls() as calls:
+            series, warnings = parse_ohlcv_csv(text, "X")
+        assert (series, warnings) == parse_rows_only(text, "X")
         assert warnings == [f"line {k + 1}: null field, row skipped" for k in (100, 900, 1500)]
         assert len(series) == 1876
-        assert _columnar(text) is not None
+        assert calls == []
 
     @pytest.mark.parametrize("bad_cells", [",null,1,1,1,1,1", ",1,1,1,1,1,-1"])
     def test_row_first_in_later_chunk(self, monkeypatch, bad_cells):
@@ -314,6 +317,30 @@ class TestColumnarPath:
         else:
             with pytest.raises(DataFormatError, match=f"^line {k + 1}: negative volume -1$"):
                 parse_ohlcv_csv(text, "X")
+
+    @pytest.mark.parametrize("edit", ["bad-last-volume", "late-quoted-cell"])
+    def test_row_parser_starts_at_declined_block(self, monkeypatch, edit):
+        # the blocks before it are parsed once, by the column pass only
+        monkeypatch.setattr(market_data, "_CHUNK_CHARS", 300)
+        lines = ohlcv_csv_from_returns([0.001] * 60).splitlines()
+        k = len(lines) - 1 if edit == "bad-last-volume" else len(lines) - 5
+        if edit == "bad-last-volume":
+            lines[k] = _with(lines[k], 6, "-1")
+        else:
+            lines[k] = _with(lines[k], 5, '"' + lines[k].split(",")[5] + '"')
+        text = "\n".join(lines) + "\n"
+        blocks = list(market_data._line_blocks(text[i : i + 300] for i in range(0, len(text), 300)))
+        starts = list(accumulate((block.count("\n") for block in blocks), initial=1))
+        first = max(start for start in starts if start <= k + 1)  # the declined block's line
+        assert len(blocks) > 10 and first > 50
+        with row_parser_calls() as calls:
+            outcome = _outcome(parse_ohlcv_csv, text)
+        assert outcome == _outcome(parse_rows_only, text)
+        assert calls == [(first, "".join(text.splitlines(keepends=True)[first - 1 :]))]
+        if edit == "bad-last-volume":
+            assert outcome == (DataFormatError, f"line {k + 1}: negative volume -1")
+        else:
+            assert outcome == parse_ohlcv_csv(text.replace('"', ""), "X")
 
 
 class TestRoundTrip:
