@@ -653,6 +653,16 @@ def test_invalid_utf8_offset_is_absolute(chunk_chars, tmp_path, monkeypatch, cap
     )
 
 
+def _analyze_stdin(data: bytes) -> subprocess.CompletedProcess:
+    """``returndist analyze`` in a child process, reading ``data`` from a pipe."""
+    return subprocess.run(
+        [sys.executable, "-m", "returndist", "analyze", "--input", "/dev/stdin"],
+        input=data,
+        env={**os.environ, "PYTHONPATH": str(Path(returndist.__file__).parent.parent)},
+        capture_output=True,
+    )
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 @pytest.mark.parametrize("bad", ["header", "first-block-cell"])
 def test_invalid_utf8_reported_before_parse_error(bad, source, tmp_path, capsys):
@@ -671,12 +681,7 @@ def test_invalid_utf8_reported_before_parse_error(bad, source, tmp_path, capsys)
         code, err = main(["analyze", "--input", str(path)]), capsys.readouterr().err
     else:
         path = "/dev/stdin"
-        proc = subprocess.run(
-            [sys.executable, "-m", "returndist", "analyze", "--input", path],
-            input=bytes(data),
-            env={**os.environ, "PYTHONPATH": str(Path(returndist.__file__).parent.parent)},
-            capture_output=True,
-        )
+        proc = _analyze_stdin(bytes(data))
         code, err = proc.returncode, proc.stderr.decode()
     assert (code, err) == (2, f"returndist: error: {path}: not valid UTF-8 at byte {offset}\n")
 
@@ -697,12 +702,7 @@ def test_piped_input_equals_file(variant, tmp_path, capsys):
     path = tmp_path / "stdin.csv"  # the same symbol as /dev/stdin
     path.write_text(text, encoding="utf-8")
     assert main(["analyze", "--input", str(path)]) == 0
-    proc = subprocess.run(
-        [sys.executable, "-m", "returndist", "analyze", "--input", "/dev/stdin"],
-        input=text.encode(),
-        env={**os.environ, "PYTHONPATH": str(Path(returndist.__file__).parent.parent)},
-        capture_output=True,
-    )
+    proc = _analyze_stdin(text.encode())
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout.decode() == capsys.readouterr().out
 
