@@ -9,7 +9,7 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from datetime import date
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 
 from ._record import Record
 from .errors import (
@@ -161,18 +161,24 @@ def _parse_block(
     lines = block.removesuffix("\n").split("\n")
     if max(map(len, lines)) > csv.field_size_limit():
         return None
+    start = 0  # where lines[0] starts in the block
     if lineno == 1:
-        header = lines.pop(0).lstrip("\ufeff").split(",")
-        if tuple(col.strip() for col in header) != OHLCV_HEADER:
+        header = lines.pop(0)
+        start = len(header) + 1
+        if tuple(col.strip() for col in header.lstrip("\ufeff").split(",")) != OHLCV_HEADER:
             return None
         lineno = 2
     if not set(map(str.count, lines, repeat(","))) <= {6}:
         return None
     null_lines = []
-    for i in compress(range(len(lines)), map(operator.contains, lines, repeat("null"))):
+    i = 0  # the line that starts at start
+    while (hit := block.find("null", start)) >= 0:
+        i += block.count("\n", start, hit)
         if any(cell.strip() == "null" for cell in lines[i].split(",")[1:]):
             null_lines.append(lineno + i)
             lines[i] = ""
+        start = block.find("\n", hit) + 1 or len(block)
+        i += 1
     cells = ",".join(filter(None, lines)).split(",")
     if cells == [""]:  # no priced line: the header alone, or only null rows
         return [], {}, null_lines, lineno + len(lines)
@@ -332,21 +338,22 @@ def simple_returns(prices: PriceSeries, field: str = "adj_close") -> ReturnSerie
 def parse_return_lines(text: str) -> list[float]:
     """Parse the one-return-per-line format written by the sample command.
 
-    A file of finite numbers, one per line, is converted a whole file at a
-    time; any other input, and every error, goes through the line loop,
-    with the same result.
+    The lines are converted a whole file at a time up to the first blank,
+    unparsable or non-finite one, and the line loop, which gives every
+    error, carries on from that line: no line before it is converted twice.
     """
     lines = text.splitlines()
+    values: list[float] = []
     try:
-        # float() strips the same whitespace as str.strip(), so a line it
-        # takes gives the loop's value
-        values = list(map(float, lines))
-        if values and all(map(math.isfinite, values)):
-            return values
-    except ValueError:  # a blank or unparsable line
+        # float() strips the same whitespace as str.strip(), so a line it takes
+        # gives the loop's value; list.extend keeps the values taken before a
+        # blank or unparsable line raised
+        values.extend(map(float, lines))
+    except ValueError:
         pass
-    values = []
-    for lineno, line in enumerate(lines, start=1):
+    if not all(map(math.isfinite, values)):
+        del values[list(map(math.isfinite, values)).index(False) :]
+    for lineno, line in enumerate(islice(lines, len(values), None), start=len(values) + 1):
         stripped = line.strip()
         if not stripped:
             continue

@@ -72,8 +72,11 @@ def _coefficients(n: int) -> tuple[float, ...]:
         rescale_num -= 2.0 * s**2
         rescale_den -= 2.0 * a * a
     rescale = math.sqrt(rescale_num / rescale_den)
-    lower += [-s / rescale for s in scores[ends:]]
-    return tuple(lower)
+    # in place: each score is freed as its weight is made, which bounds peak memory
+    for i in range(ends, half):
+        scores[i] = -scores[i] / rescale
+    scores[:ends] = lower
+    return tuple(scores)
 
 
 def sw_coefficients(n: int) -> tuple[float, ...]:

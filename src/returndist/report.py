@@ -47,7 +47,9 @@ def analyze_returns(
 ) -> AnalysisReport:
     """Moments, Shapiro-Wilk, and the Normal-vs-Laplace fit comparison, all
     order-invariant, from one sorted and centred copy of the values."""
-    centred = _centred(sorted(values), 4, "moment report")
+    # x * 1.0 is x (a -0.0 too) as a new float: the copies lie in memory in sorted
+    # order, so each later pass over them reads memory in order
+    centred = _centred([x * 1.0 for x in sorted(values)], 4, "moment report")
     moments = _moments(centred)
     sw = _shapiro_wilk(centred)
     gof = _compare_fits(centred)

@@ -16,15 +16,17 @@ from returndist.distfit import (
     sample_normal,
 )
 from returndist.errors import DegenerateFitError, DomainError, InsufficientDataError
-from returndist import distfit
+from returndist import distfit, gof
 from returndist.gof import (
     _ecdf_steps,
+    _fits,
     _ks_distance,
     compare_fits,
     ecdf,
     ks_statistic,
     log_likelihood,
 )
+from returndist.moments import _centred
 
 from conftest import laplace_cdf, laplace_quantile, normal_cdf
 
@@ -165,6 +167,81 @@ class TestKsKernel:
             ):
                 cdf_values = cdfs(sorted_x, params)
                 assert _ks_distance(cdf_values, _ecdf_steps(n)) == _ks_map_truediv(cdf_values)
+
+
+def _search_sample(family: str, n: int) -> list[float]:
+    """n values of a family, divided so that the largest |x| is 2^-5: times
+    2^1028 they stay finite."""
+    if family == "normal":
+        values = sample_normal(n, STD_NORMAL, n)
+    elif family == "laplace":
+        values = sample_laplace(n, STD_LAPLACE, n)
+    elif family == "heavy-tailed":  # symmetric Pareto tails of index 2: no finite variance
+        rng = Xoshiro256PlusPlus(n)
+        values = [
+            math.copysign((1.0 - u) ** -0.5 - 1.0, v - 0.5)
+            for u, v in zip(rng._floats(n), rng._floats(n))
+        ]
+    else:  # the Laplace quantiles at (i + 1/2) / n: the fitted Laplace gaps all stay near
+        # the largest, so the search can skip almost nothing
+        values = distfit._laplace_quantiles([(i + 0.5) / n for i in range(n)], STD_LAPLACE)
+    peak = max(map(abs, values))
+    return [x / peak / 32.0 for x in values]
+
+
+class TestKsSearch:
+    """compare_fits finds each KS distance by a bounded search over the
+    order statistics; it is the full scan's, bit for bit."""
+
+    @staticmethod
+    def _assert_equals_full_scan(sample):
+        """compare_fits's KS distances are the full scan's; returns them."""
+        centred = _centred(sorted(sample), 4, "fit comparison")
+        full = [
+            _ks_distance(cdfs(centred.values, params), _ecdf_steps(centred.n))
+            for _, params, cdfs, _ in _fits(centred)
+        ]
+        report = compare_fits(sample)
+        assert [report.normal.ks_distance, report.laplace.ks_distance] == full
+        return full
+
+    @pytest.mark.parametrize("n", (5000, 20_000))
+    @pytest.mark.parametrize("family", ("normal", "laplace", "heavy-tailed", "laplace-quantiles"))
+    def test_equals_full_scan(self, n, family):
+        sample = _search_sample(family, n)
+        for values in (sample, [round(x, 4) for x in sample]):  # without and with ties
+            distances = [
+                self._assert_equals_full_scan([math.ldexp(x, k) for x in values])
+                for k in (0, -600, 600, 1028)
+            ]
+            assert distances == distances[:1] * 4  # scale-invariant, as the full scan is
+
+    @pytest.mark.parametrize(("draw", "params"), ((sample_normal, STD_NORMAL),
+                                                  (sample_laplace, STD_LAPLACE)))
+    def test_equals_full_scan_with_long_ties(self, draw, params):
+        # where a tie spans a run, the gap at its last point equals the run's
+        # bound: a bound off by one step skips it
+        for seed in range(100):
+            n = 17 + seed * 31
+            self._assert_equals_full_scan([round(x, seed % 3) for x in draw(n, params, seed)])
+
+    @pytest.mark.parametrize(("draw", "params"), ((sample_normal, STD_NORMAL),
+                                                  (sample_laplace, STD_LAPLACE)))
+    def test_kernels_see_a_tenth_of_the_points(self, monkeypatch, draw, params):
+        n = 20_000
+        seen = {}
+        for name in ("_normal_cdfs", "_laplace_cdfs"):
+            kernel = getattr(gof, name)
+
+            def counting(xs, p, kernel=kernel, name=name):
+                xs = list(xs)
+                seen[name] = seen.get(name, 0) + len(xs)
+                return kernel(xs, p)
+
+            monkeypatch.setattr(gof, name, counting)
+        compare_fits(draw(n, params, 1))
+        assert seen.keys() == {"_normal_cdfs", "_laplace_cdfs"}
+        assert max(seen.values()) <= n // 10, seen
 
 
 class TestCompareFits:

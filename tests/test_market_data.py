@@ -197,10 +197,14 @@ class TestColumnarPath:
             make_csv(ROW_1, _with(ROW_2, 1, "0" * 100_000 + "101")),
             make_csv(ROW_3, _with(ROW_2, 2, "null"), ROW_1),
             make_csv(ROW_1, ROW_3, ROW_2),
+            make_csv(_with(ROW_1, 1, "null"), ROW_2, ROW_3),
+            HEADER + "\n" + ROW_1 + "\n" + _with(ROW_2, 6, "null"),
+            make_csv(_with(ROW_1, 2, "null"), _with(_with(ROW_2, 1, "null"), 5, "null"), ROW_3),
         ],
         ids=[
             "plain", "no-final-newline", "bom", "null-rows", "spaced-numbers", "long-field",
-            "descending-dates", "unsorted-dates",
+            "descending-dates", "unsorted-dates", "null-first-row", "null-last-row-no-newline",
+            "null-adjacent-rows",
         ],
     )
     def test_columnar_inputs(self, text):
@@ -218,10 +222,14 @@ class TestColumnarPath:
             (make_csv(ROW_1, _with(_with(ROW_2, 1, "0" * 70_000 + "101"), 2, "0" * 70_000 + "102")),
              False),
             (make_csv("2012-01-03,null,null,null,null,null,null"), True),
+            (make_csv(ROW_1, _with(ROW_2, 1, "nullx"), ROW_3), False),
+            (make_csv(ROW_1, _with(ROW_2, 0, "null"), ROW_3), False),
+            (make_csv(ROW_1, _with(ROW_2, 0, "2012-01-04null"), _with(ROW_3, 3, "null")), False),
         ],
         ids=[
             "crlf", "quoted-field", "blank-lines", "whitespace-row", "spaced-date", "nul",
-            "line-over-csv-limit", "all-null",
+            "line-over-csv-limit", "all-null", "null-prefixed-price", "null-date",
+            "null-in-date-then-null-row",
         ],
     )
     def test_fallback_inputs(self, text, columnar):
@@ -494,6 +502,41 @@ class TestReturnLines:
         text = returns_to_lines(values)
         assert text == "\n".join(repr(float(v)) for v in values) + "\n"
         assert parse_return_lines(text) == [float(v) for v in values]
+
+    @pytest.mark.parametrize("where", ["start", "middle", "end"])
+    @pytest.mark.parametrize(
+        "rejected",
+        [("",), (" \t",), ("bogus",), ("nan",), ("-1e400",), ("", "bogus"), ("0.5", "", "inf")],
+        ids=["blank", "whitespace", "bogus", "nan", "overflow", "blank-then-bogus",
+             "blank-then-inf"],
+    )
+    def test_rejected_lines_anywhere(self, where, rejected):
+        values = sample_laplace(400, LaplaceParams(mu=0.0, scale=0.006), 8)
+        lines = returns_to_lines(values).splitlines()
+        k = {"start": 0, "middle": 200, "end": len(lines)}[where]
+        lines[k:k] = rejected
+        text = "\n".join(lines) + "\n"
+        try:
+            outcome = parse_return_lines(text)
+        except (DataFormatError, EmptyInputError) as exc:
+            outcome = type(exc), str(exc)
+        assert outcome == _return_lines_per_line(text)
+
+    @pytest.mark.parametrize("tail", ["\n", "\n\n", "\n \n0.25\n"])
+    def test_no_line_converted_twice(self, monkeypatch, tail):
+        # a blank line stops the whole-file conversion; the loop carries on from it
+        values = sample_laplace(1000, LaplaceParams(mu=0.0, scale=0.006), 9)
+        text = returns_to_lines(values).removesuffix("\n") + tail
+        converted = []
+
+        def counting_float(line):
+            converted.append(line)
+            return float(line)
+
+        monkeypatch.setattr(market_data, "float", counting_float, raising=False)
+        parsed = parse_return_lines(text)
+        assert parsed == values + [float(v) for v in tail.split()]
+        assert len(converted) == len(text.splitlines())
 
     def test_writer_of_no_values_is_empty(self):
         # no values, no lines
