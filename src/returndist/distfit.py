@@ -152,22 +152,28 @@ def _lower_quantiles(qs: Iterable[float]) -> list[float]:
     down to 1e-300. Here x <= 0, so erfc(-x/sqrt(2)) carries full relative
     precision and the Halley residual is not cancellation-limited; an upper
     quantile is minus the lower one at 1 - q, which is exact for q >= 0.5."""
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
+    # the constants and functions as locals: this loop makes every SW weight
+    a0, a1, a2, a3, a4, a5 = _ACKLAM_A
+    b0, b1, b2, b3, b4 = _ACKLAM_B
+    c0, c1, c2, c3, c4, c5 = _ACKLAM_C
+    d0, d1, d2, d3 = _ACKLAM_D
+    low, sqrt2, sqrt2pi = _ACKLAM_LOW, _SQRT2, _SQRT2PI
+    sqrt, log, exp, erfc = math.sqrt, math.log, math.exp, math.erfc
     out = []
     for q in qs:
-        if q < _ACKLAM_LOW:
-            r = math.sqrt(-2.0 * math.log(q))
-            x = (
-                ((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]
-            ) / ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0)
+        if q < low:
+            r = sqrt(-2.0 * log(q))
+            x = (((((c0 * r + c1) * r + c2) * r + c3) * r + c4) * r + c5) / (
+                (((d0 * r + d1) * r + d2) * r + d3) * r + 1.0
+            )
         else:
             u = q - 0.5
             r = u * u
-            x = (
-                (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u
-            ) / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        density = math.exp(-0.5 * x * x) / _SQRT2PI
-        err = 0.5 * math.erfc(-x / _SQRT2) - q
+            x = ((((((a0 * r + a1) * r + a2) * r + a3) * r + a4) * r + a5) * u) / (
+                ((((b0 * r + b1) * r + b2) * r + b3) * r + b4) * r + 1.0
+            )
+        density = exp(-0.5 * x * x) / sqrt2pi
+        err = 0.5 * erfc(-x / sqrt2) - q
         u = err / density
         x -= u / (1.0 + 0.5 * x * u)
         out.append(x)

@@ -149,17 +149,50 @@ def _line_blocks(pieces: Iterable[str]) -> Iterator[str]:
         yield tail
 
 
+# a plain decimal of at most this many characters with a digit 1-9 lies in
+# [1e-307, 1e308), so it is finite and > 0; an integer this long is far
+# inside int's digit limit
+_PLAIN_CHARS = 308
+
+
+def _plain_prices(cells: list[str]) -> bool:
+    """Whether every cell is ASCII digits with at most one dot and a digit
+    1-9, which ``float`` takes as finite and > 0 when the cell is at most
+    ``_PLAIN_CHARS`` long."""
+    text = ",".join(cells)
+    if not text.isascii():
+        return False
+    column = text.encode("ascii")
+    signs = column.translate(None, b"0123456789")  # the commas, and each cell's other bytes
+    return (
+        len(signs) == len(cells) - 1 + signs.count(b".")
+        and b".." not in signs
+        and b",," not in b"," + column.translate(None, b"0.") + b","
+    )
+
+
+def _plain_volumes(cells: list[str]) -> bool:
+    """Whether every cell is ASCII digits, which ``int`` takes as >= 0 when
+    the cell is at most ``_PLAIN_CHARS`` long (``str.isdigit`` alone takes
+    digits such as '²' that ``int`` refuses)."""
+    text = "".join(cells)
+    return text.isascii() and text.isdigit() and all(cells)
+
+
 def _parse_block(
     block: str, lineno: int, keep: Sequence[str]
 ) -> tuple[list[date], dict[str, list], list[int], int] | None:
     """One block's dates, columns named in ``keep`` and null-row lines, and the
     line number after it; or None where ``_parse_columns`` hands the block to
-    the row parser. Its lines and cells die on return, before the next block
-    is read."""
+    the row parser. A column not in ``keep`` whose cells are all plain is
+    checked as text (``_plain_prices``, ``_plain_volumes``); any other is
+    converted and checked. Its lines and cells die on return, before the
+    next block is read."""
     if '"' in block or "\r" in block or "\0" in block:
         return None
     lines = block.removesuffix("\n").split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
+    longest = max(map(len, lines))
+    if longest > csv.field_size_limit():
         return None
     start = 0  # where lines[0] starts in the block
     if lineno == 1:
@@ -182,23 +215,27 @@ def _parse_block(
     cells = ",".join(filter(None, lines)).split(",")
     if cells == [""]:  # no priced line: the header alone, or only null rows
         return [], {}, null_lines, lineno + len(lines)
+    plain = longest <= _PLAIN_CHARS  # and no cell is longer than its line
     kept = {}
     # the values are checked as they are converted, so a bad cell stops the pass at its block
     try:
         dates = list(map(date.fromisoformat, cells[0::7]))
         for k, name in enumerate(_COLUMNS[:5], start=1):
+            if plain and name not in keep and _plain_prices(cells[k::7]):
+                continue
             values = list(map(float, cells[k::7]))
             if not all(map(math.isfinite, values)) or min(values) <= 0.0:
                 return None
             if name in keep:
                 kept[name] = values
-        values = list(map(int, cells[6::7]))
+        if not (plain and "volume" not in keep and _plain_volumes(cells[6::7])):
+            values = list(map(int, cells[6::7]))
+            if min(values) < 0:
+                return None
+            if "volume" in keep:
+                kept["volume"] = values
     except ValueError:
         return None
-    if min(values) < 0:
-        return None
-    if "volume" in keep:
-        kept["volume"] = values
     return dates, kept, null_lines, lineno + len(lines)
 
 
@@ -226,7 +263,8 @@ def _parse_columns(
 
     Each block is checked and converted whole, then dropped, so only one
     block's lines and cells are alive at a time; of the converted cells only
-    the dates and the kept columns stay. Every cell is checked, kept or not.
+    the dates and the kept columns stay. Every cell is checked, kept or not:
+    a dropped column as text where its cells are plain, converted otherwise.
     From the first block ``_parse_block`` declines (quotes, CR or NUL, a bad
     header, a line without seven fields or over the csv field limit, a bad
     cell), ``_parse_rows`` reads row by row to the end. The result and every
@@ -296,6 +334,8 @@ def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
     to its last newline, and plain LF lines are converted a column at a
     time; from the first slice with anything else (quotes, blank lines) or
     a bad cell, the csv module reads row by row, with the same results.
+    Every column is kept, so every cell is converted; a parse that drops
+    columns checks the plain ones as text instead.
     """
     pieces = (text[i : i + _CHUNK_CHARS] for i in range(0, len(text), _CHUNK_CHARS))
     dates, columns, warnings = _parse_columns(_line_blocks(pieces), _COLUMNS)

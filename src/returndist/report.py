@@ -140,7 +140,9 @@ def histogram(values: Sequence[float], bins: int) -> HistogramData:
 
     A degenerate range (all values equal) becomes a single bin centred on the
     value, of half-width max(0.5, ulp(value)): 0.5 unless |value| >= 2^52, where
-    value ± 0.5 would round onto it. A bin width of 0 or inf raises DomainError.
+    value ± 0.5 would round onto it. A finite range whose width overflows is
+    cut at half scale and scaled back. A bin width of 0, or of inf (an
+    infinite value), raises DomainError.
     """
     if bins < 1:
         raise DomainError(f"bin count must be >= 1, got {bins}")
@@ -152,6 +154,14 @@ def histogram(values: Sequence[float], bins: int) -> HistogramData:
         half = max(0.5, math.ulp(lo))
         edges = (lo - half, lo + half)
         counts = [n]
+    elif hi - lo == math.inf and -math.inf < lo and hi < math.inf:
+        # a finite range too wide for float64: half of it fits
+        halved = histogram([x * 0.5 for x in values], bins)
+        return HistogramData(
+            bin_edges=tuple(edge * 2.0 for edge in halved.bin_edges),
+            counts=halved.counts,
+            densities=tuple(density * 0.5 for density in halved.densities),
+        )
     else:
         width = (hi - lo) / bins
         if not 0.0 < width < math.inf:
@@ -162,7 +172,11 @@ def histogram(values: Sequence[float], bins: int) -> HistogramData:
         tally = Counter(map(int, map(truediv, map(sub, values, repeat(lo)), repeat(width))))
         counts = list(map(tally.__getitem__, range(bins)))
         counts[-1] += n - sum(counts)
-    densities = tuple(count / (n * (b - a)) for count, a, b in zip(counts, edges, edges[1:]))
+    # where n times a bin's width overflows, the density is divided by each in turn
+    densities = tuple(
+        count / n_width if (n_width := n * (b - a)) < math.inf else count / n / (b - a)
+        for count, a, b in zip(counts, edges, edges[1:])
+    )
     return HistogramData(bin_edges=edges, counts=tuple(counts), densities=densities)
 
 

@@ -18,6 +18,7 @@ from returndist.errors import (
 )
 from returndist.market_data import (
     OHLCV_HEADER,
+    PRICE_FIELDS,
     PriceSeries,
     parse_ohlcv_csv,
     parse_return_lines,
@@ -165,13 +166,37 @@ def _outcome(parse, text: str):
         return type(exc), str(exc)
 
 
+def _assert_kept_column_agrees(text: str, calls: list[tuple[int, str]]) -> None:
+    """_parse_columns keeping one price column, as the CLI does, equals the
+    row-wise reference's dates, that column and warnings (or its error), and
+    hands the row parser the blocks that parse_ohlcv_csv handed it in
+    ``calls``: checking a dropped column as text declines no other block."""
+    reference = _outcome(parse_rows_only, text)
+    chunk = market_data._CHUNK_CHARS
+    for field in PRICE_FIELDS:
+        pieces = (text[i : i + chunk] for i in range(0, len(text), chunk))
+        with row_parser_calls() as field_calls:
+            try:
+                outcome = market_data._parse_columns(market_data._line_blocks(pieces), (field,))
+            except Exception as exc:
+                outcome = type(exc), str(exc)
+        if isinstance(reference[0], PriceSeries):
+            series, warnings = reference
+            assert outcome == (list(series.dates), [list(getattr(series, field))], warnings)
+        else:
+            assert outcome == reference
+        assert field_calls == calls
+
+
 def _assert_paths_agree(text: str, columnar: bool) -> None:
     """parse_ohlcv_csv equals the row-wise reference, and the row parser ran
-    exactly when expected (the column pass declines, it never raises)."""
+    exactly when expected (the column pass declines, it never raises); so
+    does the parse that keeps one price column."""
     with row_parser_calls() as calls:
         outcome = _outcome(parse_ohlcv_csv, text)
     assert outcome == _outcome(parse_rows_only, text)
     assert (not calls) == columnar
+    _assert_kept_column_agrees(text, calls)
 
 
 ROW_1 = "2012-01-03,100,101,99,100.5,100.5,1000"
@@ -273,6 +298,75 @@ class TestColumnarPath:
             parse_ohlcv_csv(text, "X")
         _assert_paths_agree(text, columnar)
 
+    # cells in a column the parse drops: the first eight are finite and > 0 to
+    # float, though only the first three pass the text check
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize("index", [1, 4])
+    @pytest.mark.parametrize(
+        "cell, columnar",
+        [
+            (".5", True), ("1.", True), ("00.50", True),
+            ("1e3", True), ("+1", True), (" 1", True), ("1_0", True), ("\u0661\u0662", True),
+            ("0", False), ("0.0", False), (".", False), ("", False),
+            ("1.2.3", False), ("nan", False), ("-1", False),
+            ("9" * 309, False), ("0." + "0" * 400 + "1", False),
+        ],
+        ids=[
+            "lead-dot", "trail-dot", "zero-padded", "exponent", "plus", "spaced", "underscore",
+            "arabic-digits", "zero", "zero-point-zero", "dot", "empty", "two-dots", "nan",
+            "negative", "overflow-309-digits", "underflow-403-chars",
+        ],
+    )
+    def test_dropped_price_cells(self, cell, columnar, index, row):
+        rows = [ROW_1, ROW_2, ROW_3]
+        rows[row] = _with(rows[row], index, cell)
+        _assert_paths_agree(make_csv(*rows), columnar)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "cell, columnar",
+        [("0", True), ("007", True), ("+5", True), ("1_000", True), ("1.0", False),
+         ("\u00b2", False)],
+        ids=["zero", "zero-padded", "plus", "underscore", "decimal", "superscript-two"],
+    )
+    def test_dropped_volume_cells(self, cell, columnar, row):
+        rows = [ROW_1, ROW_2, ROW_3]
+        rows[row] = _with(rows[row], 6, cell)
+        _assert_paths_agree(make_csv(*rows), columnar)
+
+    @pytest.mark.parametrize("open_cell", [None, "1e3"])
+    def test_dropped_columns_not_converted(self, monkeypatch, open_cell):
+        # only the kept column is converted; a dropped column is converted
+        # only in the block where a cell fails the text check
+        monkeypatch.setattr(market_data, "_CHUNK_CHARS", 300)
+        text = ohlcv_csv_from_returns([0.001 * (i % 7 - 3) for i in range(60)])
+        expected = market_data._parse_columns(market_data._line_blocks([text]), ("adj_close",))
+        if open_cell:
+            lines = text.splitlines()
+            lines[40] = _with(lines[40], 1, open_cell)
+            text = "\n".join(lines) + "\n"
+        converted: dict[str, list[str]] = {"float": [], "int": []}
+        monkeypatch.setattr(
+            market_data, "float", lambda cell: converted["float"].append(cell) or float(cell),
+            raising=False,
+        )
+        monkeypatch.setattr(
+            market_data, "int", lambda cell: converted["int"].append(cell) or int(cell),
+            raising=False,
+        )
+        blocks = list(market_data._line_blocks(text[i : i + 300] for i in range(0, len(text), 300)))
+        assert len(blocks) > 10
+        with row_parser_calls() as calls:
+            outcome = market_data._parse_columns(iter(blocks), ("adj_close",))
+        assert outcome == expected and calls == []
+        cells_seen = []
+        for block in blocks:
+            rows = [line.split(",") for line in block.splitlines() if line[0].isdigit()]
+            if any(row[1] == open_cell for row in rows):
+                cells_seen += [row[1] for row in rows]
+            cells_seen += [row[5] for row in rows]
+        assert converted == {"float": cells_seen, "int": []}
+
     @pytest.mark.parametrize("chunk_chars", [1 << 20, 40])
     def test_mutations_match_row_parser(self, monkeypatch, chunk_chars):
         monkeypatch.setattr(market_data, "_CHUNK_CHARS", chunk_chars)
@@ -284,6 +378,7 @@ class TestColumnarPath:
             with row_parser_calls() as calls:
                 outcome = _outcome(parse_ohlcv_csv, text)
             assert outcome == _outcome(parse_rows_only, text), (case, text)
+            _assert_kept_column_agrees(text, calls)
             columnar += not calls
         assert 0 < columnar < 300
 

@@ -335,14 +335,37 @@ class TestHistogram:
     @pytest.mark.parametrize(
         "values, bins, shown",
         [
-            ([-1e308, 1e308, 0.0], 100, "[-1e+308, 1e+308] into 100 bins"),  # width inf
-            ([-1e308, 1e308], 1, "[-1e+308, 1e+308] into 1 bins"),
+            ([-math.inf, 1.0, 0.0], 100, "[-inf, 1.0] into 100 bins"),  # width inf
+            ([1.0, math.inf], 1, "[1.0, inf] into 1 bins"),
             ([-5e-324, 5e-324, 0.0], 100, "[-5e-324, 5e-324] into 100 bins"),  # width 0
         ],
     )
     def test_range_float64_cannot_bin(self, values, bins, shown):
         with pytest.raises(DomainError, match=re.escape(shown)):
             histogram(values, bins)
+
+    @pytest.mark.parametrize("values, bins", [([-1e308, 1e308, 0.0], 100), ([-1e308, 1e308], 1)])
+    def test_overflowing_range_is_cut(self, values, bins):
+        # hi - lo overflows, though the range and every bin width are finite
+        hist = histogram(values, bins)
+        assert hist.bin_edges[0] == -1e308 and hist.bin_edges[-1] == 1e308
+        assert len(hist.bin_edges) == bins + 1 and sum(hist.counts) == len(values)
+        assert 0.0 < min(hist.densities[:1] + hist.densities[-1:]) < math.inf
+
+    @pytest.mark.parametrize("bins", (1, 40, 100))
+    def test_power_of_two_scales_near_float64_max(self, bins):
+        # n times the bin width overflows from about k = 1020, and hi - lo at
+        # k = 1028; the densities are then subnormal, so each is compared in
+        # ulps at its own scale
+        values = sample_laplace(1879, LaplaceParams(mu=0.0, scale=0.006), 7)
+        reference = histogram(values, bins)
+        for k in range(1020, 1029):
+            hist = histogram([math.ldexp(x, k) for x in values], bins)
+            assert hist.counts == reference.counts, k
+            assert [math.ldexp(edge, -k) for edge in hist.bin_edges] == list(reference.bin_edges)
+            for density, expected in zip(hist.densities, reference.densities):
+                error = abs(math.ldexp(density, k) - expected)
+                assert error <= 2 * math.ldexp(math.ulp(density), k), (k, density, expected)
 
     @pytest.mark.parametrize(
         "value, half",
