@@ -129,11 +129,6 @@ def _load_returns(args: argparse.Namespace) -> tuple[str, Sequence[float], list[
     return symbol, _returns(dates, column), warnings
 
 
-def _write_output(args: argparse.Namespace, text: str) -> None:
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _load_and_warn(args: argparse.Namespace) -> tuple[str, Sequence[float]]:
     # analyze carries its warnings in the report; the other readers print them
     symbol, values, warnings = _load_returns(args)
@@ -141,15 +136,14 @@ def _load_and_warn(args: argparse.Namespace) -> tuple[str, Sequence[float]]:
     return symbol, values
 
 
-def _run_analyze(args: argparse.Namespace) -> int:
+def _run_analyze(args: argparse.Namespace) -> str:
     symbol, values, warnings = _load_returns(args)
     report = analyze_returns(values, symbol, warnings)
     render = render_report_json if args.format == "json" else render_report_markdown
-    print(render(report))
-    return EXIT_OK
+    return render(report) + "\n"
 
 
-def _run_sample(args: argparse.Namespace) -> int:
+def _run_sample(args: argparse.Namespace) -> str:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if not 0 <= args.seed < MAX_SEED:
@@ -174,28 +168,21 @@ def _run_sample(args: argparse.Namespace) -> int:
         raise DomainError(
             f"draw {i + 1} of {args.n} is not finite ({x}); the location or scale is too large"
         )
-    _write_output(args, returns_to_lines(values))
-    return EXIT_OK
+    return returns_to_lines(values)
 
 
-def _run_ecdf(args: argparse.Namespace) -> int:
+def _run_ecdf(args: argparse.Namespace) -> str:
     symbol, values = _load_and_warn(args)
     columns = ecdf_overlay(values)
-    if args.format == "csv":
-        rendered = render_ecdf_csv(columns)
-    else:
-        rendered = render_ecdf_svg(columns, symbol)
-    _write_output(args, rendered)
-    return EXIT_OK
+    return render_ecdf_csv(columns) if args.format == "csv" else render_ecdf_svg(columns, symbol)
 
 
-def _run_hist(args: argparse.Namespace) -> int:
+def _run_hist(args: argparse.Namespace) -> str:
     if args.bins < 1:
         raise UsageError(f"--bins must be >= 1, got {args.bins}")
     symbol, values = _load_and_warn(args)
     hist = histogram(values, args.bins)
-    _write_output(args, render_histogram_json(symbol, hist) + "\n")
-    return EXIT_OK
+    return render_histogram_json(symbol, hist) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,7 +192,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code is None else int(exc.code)
     try:
-        return args.run(args)
+        text = args.run(args)
+        if args.command == "analyze":  # the one subcommand without --output prints its text
+            sys.stdout.write(text)
+        else:  # opened only now, so a run that raises writes no file
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except Exception as exc:  # the CLI contract: one line on stderr, never a traceback
         print(f"returndist: error: {exc}", file=sys.stderr)
         return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), EXIT_COMPUTE)
+    return EXIT_OK

@@ -76,18 +76,21 @@ def _parse_price(raw: str, lineno: int, column: str) -> float:
 
 
 def _parse_rows(
-    blocks: Iterable[str], lineno: int, seen: set[date], keep: Sequence[str]
-) -> tuple[list[date], dict[str, list], list[int], int]:
+    blocks: Iterable[str], lineno: int, dates: list[date], kept: dict[str, list],
+    null_lines: list[int],
+) -> None:
     """The csv-module parser: any input, every check and message, row by row.
-    Gives ``_parse_block``'s result for the blocks from line ``lineno`` to the
-    end; ``seen`` holds the dates before that line."""
+    Reads the blocks from line ``lineno`` to the end, appending each row to
+    ``dates`` and ``kept`` (a list per column it names) and each null row's
+    line to ``null_lines``. Those hold the rows before that line; a date
+    repeated among them is the first error raised."""
+    seen = set(dates)
+    if len(seen) < len(dates):
+        raise _duplicate_error(dates, null_lines)
     # the blocks end at newlines, so the lines read are the lines of the text
     reader = csv.reader(chain.from_iterable(map(io.StringIO, blocks)))
     offset = lineno - 1
-    dates: list[date] = []
-    kept: dict[str, list] = {name: [] for name in keep}
-    null_lines: list[int] = []
-    picks = [(_COLUMNS.index(name), kept[name]) for name in keep]
+    picks = [(_COLUMNS.index(name), column) for name, column in kept.items()]
     try:
         for row in reader:
             line, lineno = lineno, offset + reader.line_num + 1
@@ -128,7 +131,6 @@ def _parse_rows(
                 column.append(values[k])
     except csv.Error as exc:
         raise DataFormatError(f"line {offset + reader.line_num}: {exc}") from None
-    return dates, kept, null_lines, lineno
 
 
 def _line_blocks(pieces: Iterable[str]) -> Iterator[str]:
@@ -194,23 +196,23 @@ def _parse_block(
     longest = max(map(len, lines))
     if longest > csv.field_size_limit():
         return None
-    start = 0  # where lines[0] starts in the block
     if lineno == 1:
-        header = lines.pop(0)
-        start = len(header) + 1
-        if tuple(col.strip() for col in header.lstrip("\ufeff").split(",")) != OHLCV_HEADER:
+        if tuple(col.strip() for col in lines.pop(0).lstrip("\ufeff").split(",")) != OHLCV_HEADER:
             return None
         lineno = 2
     if not set(map(str.count, lines, repeat(","))) <= {6}:
         return None
     null_lines = []
-    i = 0  # the line that starts at start
-    while (hit := block.find("null", start)) >= 0:
-        i += block.count("\n", start, hit)
+    # each "null" found lies in the first line from lines[i] on with its line's
+    # text: an equal line before it would hold a "null" found earlier (a valid
+    # header holds none, so none lies in it)
+    i = end = 0  # the index of the line after the last hit's, and where it starts
+    while (hit := block.find("null", end)) >= 0:
+        end = block.find("\n", hit) + 1 or len(block) + 1
+        i = lines.index(block[block.rfind("\n", 0, hit) + 1 : end - 1], i)
         if any(cell.strip() == "null" for cell in lines[i].split(",")[1:]):
             null_lines.append(lineno + i)
             lines[i] = ""
-        start = block.find("\n", hit) + 1 or len(block)
         i += 1
     cells = ",".join(filter(None, lines)).split(",")
     if cells == [""]:  # no priced line: the header alone, or only null rows
@@ -267,8 +269,9 @@ def _parse_columns(
     a dropped column as text where its cells are plain, converted otherwise.
     From the first block ``_parse_block`` declines (quotes, CR or NUL, a bad
     header, a line without seven fields or over the csv field limit, a bad
-    cell), ``_parse_rows`` reads row by row to the end. The result and every
-    error equal those of ``_parse_rows`` over the whole text.
+    cell), ``_parse_rows`` reads row by row to the end, appending to the same
+    lists. The result and every error equal those of ``_parse_rows`` over the
+    whole text.
     """
     dates: list[date] = []
     kept: dict[str, list] = {name: [] for name in keep}
@@ -277,17 +280,16 @@ def _parse_columns(
     for block in blocks:
         parsed = _parse_block(block, lineno, keep)
         if parsed is None:  # the row parser reads this block and every block after it
-            seen = set(dates)
-            if len(seen) < len(dates):  # a repeat before this block is the first error
-                raise _duplicate_error(dates, null_lines)
-            parsed = _parse_rows(chain((block,), blocks), lineno, seen, keep)
+            _parse_rows(chain((block,), blocks), lineno, dates, kept, null_lines)
+            break
         block_dates, block_kept, block_nulls, lineno = parsed
         dates += block_dates
         for name, values in block_kept.items():
             kept[name] += values
         null_lines += block_nulls
-    if lineno == 1:
-        raise DataFormatError("missing CSV header")
+    else:  # the column pass read every block: the header, unless there was no block
+        if lineno == 1:
+            raise DataFormatError("missing CSV header")
     if not dates and not null_lines:
         raise EmptyInputError("CSV contains no data rows")
     columns = list(kept.values())
@@ -351,18 +353,20 @@ def price_series_to_csv(series: PriceSeries) -> str:
 
 
 def _returns(dates: Sequence[date], column: Sequence[float]) -> tuple[float, ...]:
-    """Fractional changes between consecutive prices of a column, errors dated by ``dates``."""
+    """Fractional changes between consecutive prices of a column, errors dated by
+    ``dates``. A zero price is found by the division it makes fail, so the
+    column is read once; a zero last price divides nothing."""
     if len(column) < 2:
         raise InsufficientDataError(
             f"need at least 2 price points to compute returns, got {len(column)}"
         )
-    if 0.0 in column[:-1]:
+    try:
+        values = tuple((cur - prev) / prev for prev, cur in zip(column, islice(column, 1, None)))
+    except ZeroDivisionError:  # at the first zero in the column, which is not the last price
         day = dates[column.index(0.0) + 1]
-        raise DomainError(f"zero price on {day.isoformat()} denominator")
-    values = tuple((cur - prev) / prev for prev, cur in zip(column, islice(column, 1, None)))
-    finite = list(map(math.isfinite, values))
-    if not all(finite):
-        day = dates[finite.index(False) + 1]
+        raise DomainError(f"zero price on {day.isoformat()} denominator") from None
+    if not all(map(math.isfinite, values)):
+        day = dates[list(map(math.isfinite, values)).index(False) + 1]
         raise DataFormatError(f"non-finite return on {day.isoformat()}")
     return values
 

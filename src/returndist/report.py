@@ -13,7 +13,7 @@ from ._record import Record
 from .distfit import LaplaceParams, NormalParams
 from .errors import DomainError, InsufficientDataError
 from .gof import _compare_fits, _ecdf_steps, _fits
-from .moments import _centred, _moments
+from .moments import _centred, _ldexp, _moments
 from .normality import ROYSTON_MAX_VALIDATED_N, _shapiro_wilk
 
 
@@ -273,8 +273,14 @@ _SVG_TEMPLATE = "\n".join((
 
 
 def render_ecdf_svg(columns: Sequence[Sequence[float]], symbol: str) -> str:
-    """Standalone SVG: ECDF staircase plus both fitted CDF curves."""
+    """Standalone SVG: ECDF staircase plus both fitted CDF curves. Where max |x|
+    is m * 2^e with e > 128, the pixels come from the values times 2^(128 - e),
+    so no width or product overflows and a power-of-two scale moves no pixel;
+    the tick labels stay at the values' own scale (saturating, by ``_ldexp``)."""
     lo, hi = min(columns[0]), max(columns[0])
+    shift = max(0, math.frexp(max(-lo, hi))[1] - 128)
+    xs = [math.ldexp(x, -shift) for x in columns[0]] if shift else columns[0]
+    lo, hi = math.ldexp(lo, -shift), math.ldexp(hi, -shift)
     pad = 0.02 * ((hi - lo) or 1.0)
     lo, hi = lo - pad, hi + pad
 
@@ -282,13 +288,13 @@ def render_ecdf_svg(columns: Sequence[Sequence[float]], symbol: str) -> str:
         return [_MARGIN_LEFT + _PLOT_W * (x - lo) / (hi - lo) for x in values]
 
     x_ticks = [lo + (hi - lo) * k / 4.0 for k in range(5)]
-    ticks = [v for x, sx in zip(x_ticks, px(x_ticks)) for v in (sx, sx, sx, x)]
+    ticks = [v for x, sx in zip(x_ticks, px(x_ticks)) for v in (sx, sx, sx, _ldexp(x, shift))]
     title = _text(symbol, _XML_TEXT)
 
     def polylines() -> Iterator[str]:
         """Each curve's points, printed by one % call over its pixel floats:
         no string is made per value."""
-        x_pixels = px(columns[0])
+        x_pixels = px(xs)
         for k, y in enumerate(map(_py, columns[1:])):
             if k == 0:
                 # staircase for the empirical CDF: after (first x, x axis), each step

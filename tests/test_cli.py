@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -385,16 +386,22 @@ _SCALE_FREE = ("skew", "excess_kurtosis", "shapiro_w", "shapiro_p", "ks_normal",
 
 def _main_on(command: str, values: list[float], tmp_path, capsys) -> tuple[int, str, object]:
     """main's exit code and stderr on values as a returns file, and what it
-    wrote: the JSON it printed or wrote (analyze, hist), or the ecdf CSV's rows."""
+    wrote: the JSON it printed or wrote (analyze, hist), the ecdf CSV's rows,
+    or the parsed ecdf SVG (command "ecdf-svg")."""
     path, out = tmp_path / "scaled.txt", tmp_path / "out"
     path.write_text(returns_to_lines(values), encoding="utf-8")
-    argv = [command, "--input", str(path), "--returns-only"]
+    subcommand, _, ecdf_format = command.partition("-")
+    argv = [subcommand, "--input", str(path), "--returns-only"]
     if command != "analyze":
-        argv += ["--output", str(out), *(("--format", "csv") if command == "ecdf" else ())]
+        argv += ["--output", str(out)]
+    if subcommand == "ecdf":
+        argv += ["--format", ecdf_format or "csv"]
     code = main(argv)
     captured = capsys.readouterr()
     if code != 0:
         return code, captured.err, None
+    if command == "ecdf-svg":
+        return code, captured.err, ET.fromstring(out.read_bytes())
     if command == "ecdf":
         return code, captured.err, out.read_text().splitlines()[1:]
     text = captured.out if command == "analyze" else out.read_text()
@@ -403,14 +410,37 @@ def _main_on(command: str, values: list[float], tmp_path, capsys) -> tuple[int, 
 
 def _assert_unit_scale_output(command: str, got: object, unit: object, k: int) -> None:
     """got, written for values times 2^k, is what unit was for the values:
-    the same scale-free statistics and fitted scales times 2^k (analyze), or
-    the same ECDF and CDF columns, compared as text (ecdf)."""
+    the same scale-free statistics and fitted scales times 2^k (analyze),
+    the same ECDF and CDF columns, compared as text (ecdf), or the same
+    curves' pixels (ecdf-svg)."""
     if command == "analyze":
         assert [got[f] for f in _SCALE_FREE] == [unit[f] for f in _SCALE_FREE], k
         assert got["normal_fit"]["sigma"] == math.ldexp(unit["normal_fit"]["sigma"], k), k
         assert got["laplace_fit"]["scale"] == math.ldexp(unit["laplace_fit"]["scale"], k), k
+    elif command == "ecdf-svg":
+        assert _polyline_points(got) == _polyline_points(unit), k
     else:
         assert [row.partition(",")[2] for row in got] == [row.partition(",")[2] for row in unit], k
+
+
+def _polyline_points(root: ET.Element) -> list[str]:
+    return [line.get("points") for line in root.iter("{http://www.w3.org/2000/svg}polyline")]
+
+
+def _non_finite_numbers(root: ET.Element) -> list[str]:
+    """Each token of the SVG's attributes that reads as a float that is not
+    finite: a nan or inf coordinate."""
+    found = []
+    for element in root.iter():
+        for value in element.attrib.values():
+            for token in re.split(r"[\s,()]+", value):
+                try:
+                    number = float(token)
+                except ValueError:
+                    continue
+                if not math.isfinite(number):
+                    found.append(token)
+    return found
 
 
 _SIX = (1.0, -2.0, 0.5, 1.3, -0.7, 0.2)
@@ -476,12 +506,12 @@ def _scaled_laplace_returns() -> dict[int, list[float]]:
     return scaled
 
 
-@pytest.mark.parametrize("command", ("analyze", "hist", "ecdf"))
+@pytest.mark.parametrize("command", ("analyze", "hist", "ecdf", "ecdf-svg"))
 def test_power_of_two_scales_end_in_json_or_one_line(command, tmp_path, capsys):
     # a float64 limit reached in the histogram is one named error line, not a
     # raw float64 error; a sample that is not constant is never called
     # zero-variance, nor reaches a fitted parameter's range check; and where the
-    # scaling is exact, analyze and ecdf exit 0 with k = 0's statistics
+    # scaling is exact, analyze and ecdf exit 0 with k = 0's statistics and pixels
     scaled = _scaled_laplace_returns()
     unit = _main_on(command, scaled[0], tmp_path, capsys)[2]
     for k, values in scaled.items():
@@ -498,6 +528,8 @@ def test_power_of_two_scales_end_in_json_or_one_line(command, tmp_path, capsys):
                 assert "must be finite and > 0" not in err and "zero-variance" not in err, (k, err)
         elif command == "ecdf":
             assert not any("inf" in row or "nan" in row for row in output), k
+        elif command == "ecdf-svg":
+            assert _non_finite_numbers(output) == [], k
 
 
 def test_fuzzed_input_never_escapes(tmp_path, capsys):

@@ -210,6 +210,9 @@ def _with(row: str, index: int, cell: str) -> str:
     return ",".join(cells)
 
 
+_NULL_ROW = "2012-01-04,null,null,null,null,null,null"
+
+
 class TestColumnarPath:
     @pytest.mark.parametrize(
         "text",
@@ -258,6 +261,27 @@ class TestColumnarPath:
         ],
     )
     def test_fallback_inputs(self, text, columnar):
+        _assert_paths_agree(text, columnar)
+
+    # each "null" found is matched to its line by text, and repeated or
+    # unusual null lines must still land on the right line numbers
+    @pytest.mark.parametrize("chunk_chars", [1 << 20, 40])
+    @pytest.mark.parametrize(
+        "text, columnar",
+        [
+            (make_csv(ROW_1, _NULL_ROW, _NULL_ROW, ROW_3), True),
+            (make_csv(_with(ROW_1, 1, "nullx"), _NULL_ROW, ROW_3), False),
+            (HEADER + "\n" + ROW_1 + "\n" + ROW_2 + "\n" + _with(ROW_3, 3, "null"), True),
+            (make_csv(ROW_1, _with(_with(ROW_2, 2, " null "), 4, "null"), ROW_3), True),
+            (make_csv(ROW_1, _with(ROW_2, 6, "null"), _with(ROW_2, 6, "null"), ROW_3), True),
+        ],
+        ids=[
+            "identical-null-rows", "nullx-before-null-row", "null-last-line-no-newline",
+            "spaced-and-bare-null-cells", "identical-null-volume-rows",
+        ],
+    )
+    def test_null_scan(self, monkeypatch, chunk_chars, text, columnar):
+        monkeypatch.setattr(market_data, "_CHUNK_CHARS", chunk_chars)
         _assert_paths_agree(text, columnar)
 
     # an empty or header-only text and a duplicate date are errors the
@@ -491,6 +515,19 @@ class TestSimpleReturns:
         series = PriceSeries("X", dates, prices, prices, prices, prices, prices, (0, 0, 0))
         with pytest.raises(DomainError, match="zero price on 2012-01-05 denominator"):
             simple_returns(series)
+
+    def test_zero_last_price(self):
+        # the last price is no denominator
+        assert simple_returns(make_series([1.0, 2.0, 0.0])).values == (1.0, -1.0)
+
+    def test_zero_price_after_non_finite_return(self):
+        assert (1e300 - 1e-300) / 1e-300 == math.inf  # the return before the zero
+        with pytest.raises(DomainError, match="^zero price on 2012-01-04 denominator$"):
+            simple_returns(make_series([1e-300, 1e300, 0.0, 1.0]))
+
+    def test_first_of_two_zero_prices_named(self):
+        with pytest.raises(DomainError, match="^zero price on 2012-01-03 denominator$"):
+            simple_returns(make_series([1.0, 0.0, 2.0, 0.0, 1.0]))
 
     def test_non_finite_return(self):
         series = make_series([1.0, 1e-300, 1e300])
