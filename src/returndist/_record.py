@@ -4,8 +4,7 @@ A subclass declares its fields as class annotations, in order, and gets
 an ``__init__`` taking them by position or keyword, a ``repr`` in the
 form ``Name(field=value, ...)``, equality and hashing over the field
 tuple (only between instances of the same class), and attributes that
-cannot be assigned or deleted. Field names are in ``_fields``. A
-subclass may override ``_check`` to validate a new instance.
+cannot be assigned or deleted. Field names are in ``_fields``.
 
 Not ``dataclasses``: importing it (with ``inspect``, ``ast``, ``dis`` and
 ``tokenize``) and generating each class's methods cost more than the
@@ -30,10 +29,6 @@ class Record:
                 f"got {len(args)} positional and {', '.join(kwargs) or 'no'} keyword arguments"
             )
         self.__dict__.update(values)
-        self._check()
-
-    def _check(self) -> None:
-        """Raise if the new instance's values are out of range."""
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))

@@ -21,30 +21,34 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-class LaplaceParams(Record):
+class _LocationScale(Record):
+    """A location-scale pair: the location finite, the scale finite and > 0."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        Record.__init__(self, *args, **kwargs)
+        location, scale = self._values()
+        if not math.isfinite(location):
+            raise DomainError(f"{self._name(0)} must be finite, got {location}")
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise DomainError(f"{self._name(1)} must be finite and > 0, got {scale}")
+
+    def _name(self, i: int) -> str:
+        """The family and field i, as in "normal mean"."""
+        return f"{type(self).__name__.removesuffix('Params').lower()} {self._fields[i]}"
+
+
+class LaplaceParams(_LocationScale):
     """Location/scale pair for the double-exponential family."""
 
     mu: float
     scale: float
 
-    def _check(self) -> None:
-        if not math.isfinite(self.mu):
-            raise DomainError(f"laplace mu must be finite, got {self.mu}")
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"laplace scale must be finite and > 0, got {self.scale}")
 
-
-class NormalParams(Record):
+class NormalParams(_LocationScale):
     """Mean/standard-deviation pair for the normal family."""
 
     mean: float
     sigma: float
-
-    def _check(self) -> None:
-        if not math.isfinite(self.mean):
-            raise DomainError(f"normal mean must be finite, got {self.mean}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError(f"normal sigma must be finite and > 0, got {self.sigma}")
 
 
 def _middle(ordered: Sequence[float]) -> float:
@@ -64,8 +68,7 @@ def _unscaled(params: NormalParams | LaplaceParams, exponent: int) -> NormalPara
     """Params fitted to values times 2^-exponent, on the values' own scale."""
     location, scale = (math.ldexp(v, exponent) for v in params._values())
     if scale == 0.0:
-        family = f"{type(params).__name__.removesuffix('Params').lower()} {params._fields[1]}"
-        raise DegenerateSampleError(f"the fitted {family} underflows to zero in float64")
+        raise DegenerateSampleError(f"the fitted {params._name(1)} underflows to zero in float64")
     return type(params)(location, scale)
 
 

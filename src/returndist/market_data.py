@@ -102,7 +102,7 @@ def _parse_rows(
                         f"unknown header {','.join(row)!r}; expected {','.join(OHLCV_HEADER)!r}"
                     )
                 continue
-            if not row or all(not cell.strip() for cell in row):
+            if all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(OHLCV_HEADER):
                 raise DataFormatError(
