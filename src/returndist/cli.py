@@ -14,15 +14,7 @@ from collections.abc import Sequence
 
 from .distfit import LaplaceParams, NormalParams, sample_laplace, sample_normal
 from .errors import DataFormatError, DomainError, InsufficientDataError
-from .market_data import (
-    PRICE_FIELDS,
-    _decoded_pieces,
-    _line_blocks,
-    _parse_columns,
-    _returns,
-    parse_return_lines,
-    returns_to_lines,
-)
+from .market_data import PRICE_FIELDS, _read_returns, returns_to_lines
 from .report import (
     analyze_returns,
     ecdf_overlay,
@@ -110,23 +102,11 @@ def build_parser() -> _Parser:
 
 
 def _load_returns(args: argparse.Namespace) -> tuple[str, Sequence[float], list[str]]:
-    path = args.input
     # the name less its last suffix, as pathlib's stem: "a.tar.gz" -> "a.tar"; "foo." and ".rc" kept
-    name = os.path.basename(path)
+    name = os.path.basename(args.input)
     dot = name.rfind(".")
     symbol = name[:dot] if 0 < dot < len(name) - 1 else name
-    with open(path, "rb") as fh:
-        pieces = _decoded_pieces(fh, path)
-        if args.returns_only:
-            return symbol, parse_return_lines("".join(pieces)), []
-        try:
-            dates, (column,), warnings = _parse_columns(_line_blocks(pieces), (args.price_column,))
-        except DataFormatError:
-            # invalid UTF-8 anywhere in the file is the error reported, as a whole-file read gives it
-            for _ in pieces:
-                pass
-            raise
-    return symbol, _returns(dates, column), warnings
+    return symbol, *_read_returns(args.input, args.price_column, args.returns_only)
 
 
 def _load_and_warn(args: argparse.Namespace) -> tuple[str, Sequence[float]]:

@@ -1,4 +1,5 @@
-"""OHLCV CSV parsing and simple daily return computation."""
+"""OHLCV CSV parsing, simple daily return computation, and the reading of
+input files, OHLCV or one return per line, into returns."""
 
 from __future__ import annotations
 
@@ -323,6 +324,27 @@ def _decoded_pieces(fh: io.BufferedIOBase, path: str) -> Iterator[str]:
         done += len(raw)
         del raw
         yield text
+
+
+def _read_returns(
+    path: str, price_column: str, returns_only: bool
+) -> tuple[Sequence[float], list[str]]:
+    """The returns and the warnings of an input file: one return per line
+    when ``returns_only``, else an OHLCV export whose ``price_column`` gives
+    the returns. The file is read in ``_decoded_pieces`` and, for an OHLCV
+    export, only the dates and that column are kept."""
+    with open(path, "rb") as fh:
+        pieces = _decoded_pieces(fh, path)
+        if returns_only:
+            return parse_return_lines("".join(pieces)), []
+        try:
+            dates, (column,), warnings = _parse_columns(_line_blocks(pieces), (price_column,))
+        except DataFormatError:
+            # invalid UTF-8 anywhere in the file is the error reported, as a whole-file read gives it
+            for _ in pieces:
+                pass
+            raise
+    return _returns(dates, column), warnings
 
 
 def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:

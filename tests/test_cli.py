@@ -685,10 +685,10 @@ def test_invalid_utf8_offset_is_absolute(chunk_chars, tmp_path, monkeypatch, cap
     )
 
 
-def _analyze_stdin(data: bytes) -> subprocess.CompletedProcess:
+def _analyze_stdin(data: bytes, *options: str) -> subprocess.CompletedProcess:
     """``returndist analyze`` in a child process, reading ``data`` from a pipe."""
     return subprocess.run(
-        [sys.executable, "-m", "returndist", "analyze", "--input", "/dev/stdin"],
+        [sys.executable, "-m", "returndist", "analyze", "--input", "/dev/stdin", *options],
         input=data,
         env={**os.environ, "PYTHONPATH": str(Path(returndist.__file__).parent.parent)},
         capture_output=True,
@@ -696,24 +696,27 @@ def _analyze_stdin(data: bytes) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])
-@pytest.mark.parametrize("bad", ["header", "first-block-cell"])
+@pytest.mark.parametrize("bad", ["header", "first-block-cell", "returns-only"])
 def test_invalid_utf8_reported_before_parse_error(bad, source, tmp_path, capsys):
     # the parse fails in the first block, but the invalid byte 2 MiB on is the error named
     lines = _stream_lines(3, null_every=1 << 30)
+    options = []
     if bad == "header":
         lines[0] = lines[0].replace("Volume", "Vol")
-    else:
+    elif bad == "first-block-cell":
         lines[1] = lines[1].replace(",", ",x", 1)
+    else:  # "bogus" on line 2 of a returns-only input, then returns as long as an OHLCV line
+        lines, options = ["0.01", "bogus", "0.01" + "0" * 60], ["--returns-only"]
     data = bytearray("\n".join(lines + lines[2:] * 40_000).encode())
     offset = (2 << 20) + 7
     data[offset] = 0xFF
     if source == "file":
         path = tmp_path / "bad.csv"
         path.write_bytes(bytes(data))
-        code, err = main(["analyze", "--input", str(path)]), capsys.readouterr().err
+        code, err = main(["analyze", "--input", str(path), *options]), capsys.readouterr().err
     else:
         path = "/dev/stdin"
-        proc = _analyze_stdin(bytes(data))
+        proc = _analyze_stdin(bytes(data), *options)
         code, err = proc.returncode, proc.stderr.decode()
     assert (code, err) == (2, f"returndist: error: {path}: not valid UTF-8 at byte {offset}\n")
 

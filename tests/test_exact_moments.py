@@ -113,7 +113,6 @@ class TestWithinUlpsOfExact:
         assert _ulps(report.log_lik_laplace, exact.laplace_log_likelihood()) <= MAX_ULPS
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 @pytest.mark.parametrize(
     "sample, shift", [(OFFSET, 1000.0), (NEAR_CONSTANT, 1.0)], ids=["offset", "near-constant"]
 )

@@ -211,6 +211,7 @@ def _with(row: str, index: int, cell: str) -> str:
 
 
 _NULL_ROW = "2012-01-04,null,null,null,null,null,null"
+_LATE_NULL_ROW = "2012-01-06,null,null,null,null,null,null"
 
 
 class TestColumnarPath:
@@ -274,10 +275,15 @@ class TestColumnarPath:
             (HEADER + "\n" + ROW_1 + "\n" + ROW_2 + "\n" + _with(ROW_3, 3, "null"), True),
             (make_csv(ROW_1, _with(_with(ROW_2, 2, " null "), 4, "null"), ROW_3), True),
             (make_csv(ROW_1, _with(ROW_2, 6, "null"), _with(ROW_2, 6, "null"), ROW_3), True),
+            # a null row after a repeated date leaves the repeat's line where it is
+            (make_csv(ROW_1, ROW_2, ROW_1, _LATE_NULL_ROW), True),
+            (make_csv(ROW_1, _NULL_ROW, ROW_2, ROW_1, _LATE_NULL_ROW), True),
+            (make_csv(ROW_1, ROW_2, ROW_1, _LATE_NULL_ROW, _with(ROW_3, 1, '"102"')), False),
         ],
         ids=[
             "identical-null-rows", "nullx-before-null-row", "null-last-line-no-newline",
             "spaced-and-bare-null-cells", "identical-null-volume-rows",
+            "null-row-after-repeat", "null-rows-around-repeat", "null-row-after-repeat-then-quote",
         ],
     )
     def test_null_scan(self, monkeypatch, chunk_chars, text, columnar):
