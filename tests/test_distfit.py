@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from statistics import NormalDist
 
@@ -304,6 +305,12 @@ class TestRng:
             5881210131331364753,
             18149643915985481100,
         ]
+
+    def test_words_pinned_at_workload_size(self):
+        # the same sentinel over 200 000 words, as little-endian bytes
+        words = Xoshiro256PlusPlus(42)._words(200_000)
+        digest = hashlib.sha256(b"".join(w.to_bytes(8, "little") for w in words)).hexdigest()
+        assert digest == "4b84592cbb151cf7e4e19b46788e2cbf4a208ace91805885a1fe831940a9dffc"
 
     def test_distinct_seeds_diverge(self):
         a = Xoshiro256PlusPlus(1)

@@ -121,6 +121,10 @@ _OTHER_CASES = (
     ("sample-normal", (*_SAMPLE, "--dist", "normal", "--n", "301", "--seed", "3",
                        "--sigma", "0.02"), False),
     ("sample-default-scale", (*_SAMPLE, "--dist", "laplace", "--n", "5", "--seed", "0"), False),
+    # the sizes the benchmark draws at, so a faster generator must give the same stream
+    ("sample-laplace-50k", (*_SAMPLE, "--dist", "laplace", "--n", "50000", "--seed", "1",
+                            "--lambda", "0.006"), False),
+    ("sample-normal-200k", (*_SAMPLE, "--dist", "normal", "--n", "200000", "--seed", "1"), False),
     ("sample-overflow", (*_SAMPLE, "--dist", "normal", "--n", "1000", "--seed", "1",
                          "--sigma", "1e308"), False),
     ("sample-n-zero", (*_SAMPLE, "--dist", "normal", "--n", "0", "--seed", "1"), False),
