@@ -2,16 +2,20 @@
 
 CDF and quantile evaluation, parameter fitting, and seeded
 sampling. Everything here is self-contained: uniforms come from a
-xoshiro256++ generator seeded through splitmix64, normals from the
-Marsaglia polar method, Laplace variates from the inverse transform,
-and the standard-normal quantile from Acklam's rational approximation
-sharpened by one Halley step against the erfc-based CDF.
+xoshiro256++ generator seeded through splitmix64 and stepped in lanes
+started by jump-ahead (Blackman & Vigna, ACM TOMS 2021; Haramoto et
+al., INFORMS J. Computing 2008), normals from the Marsaglia polar
+method, Laplace variates from the inverse transform, and the
+standard-normal quantile from Acklam's rational approximation sharpened
+by one Halley step against the erfc-based CDF.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
 from ._record import Record
 from .errors import DegenerateFitError, DegenerateSampleError, DomainError, InsufficientDataError
@@ -194,10 +198,60 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return (z ^ (z >> 31)), state
 
 
+# xoshiro256's characteristic polynomial over GF(2), bit i the coefficient
+# of x^i: with T the one-step map, P(T) = 0, so m steps are (x^m mod P)(T)
+_CHARPOLY = 0x1_0003c03c_3f3ecb19_04b4edcf_26259f85_0280002b_cefd1a5e_9d116f2b_b0f0f001
+
+
+@lru_cache(maxsize=256)
+def _jump_poly(steps: int) -> int:
+    """x^steps mod P, by square-and-multiply from the top bit of steps. Over
+    GF(2) squaring spreads the bits, since (sum a_i x^i)^2 = sum a_i x^(2i)."""
+    poly = 1
+    for bit in format(steps, "b"):
+        poly = int("0".join(format(poly, "b")), 2) << int(bit)
+        while (n := poly.bit_length()) > 256:
+            poly ^= _CHARPOLY << (n - 257)
+    return poly
+
+
+def _slot_mask(lanes: int) -> int:
+    """The low 64 bits of each of lanes 128-bit slots."""
+    return int.from_bytes((b"\xff" * 8 + bytes(8)) * lanes, "little")
+
+
+def _jumped(state: tuple[int, ...], poly: int, mask: int) -> tuple[int, ...]:
+    """poly(T) on packed lanes: XOR in the state where poly's bit is set,
+    then step. The step is _words's without the output, so no addition."""
+    s0, s1, s2, s3 = state
+    j0 = j1 = j2 = j3 = 0
+    for bit in reversed(format(poly, "0256b")):
+        if bit == "1":
+            j0 ^= s0
+            j1 ^= s1
+            j2 ^= s2
+            j3 ^= s3
+        t = (s1 << 17) & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & mask
+    return j0, j1, j2, j3
+
+
 class Xoshiro256PlusPlus:
-    """xoshiro256++ (Blackman & Vigna), state expanded from the seed with
-    splitmix64. Same seed, same stream, across runs and threads; not
-    cryptographic."""
+    """xoshiro256++ (Blackman & Vigna, "Scrambled linear pseudorandom number
+    generators", ACM TOMS 2021), state expanded from the seed with
+    splitmix64. Same seed, same stream, across runs and threads, however
+    many words are drawn at once; not cryptographic.
+
+    The state map is linear over GF(2), so a batch of words is drawn as
+    lanes: consecutive stretches of the stream whose start states are found
+    by jump-ahead (Haramoto et al., "Efficient jump ahead for F2-linear
+    random number generators", INFORMS J. Computing 2008) and which are
+    then stepped together, packed into one int per state word."""
 
     __slots__ = ("_s0", "_s1", "_s2", "_s3")
 
@@ -210,21 +264,54 @@ class Xoshiro256PlusPlus:
         self._s0, self._s1, self._s2, self._s3 = words
 
     def _words(self, count: int) -> list[int]:
-        """The next count 64-bit outputs; the one definition of the step."""
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        out = []
-        append = out.append
-        for _ in range(count):
-            t = (s0 + s3) & _MASK64
-            append((((t << 23) | (t >> 41)) + s0) & _MASK64)
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        """The next count 64-bit outputs; every draw goes through this loop.
+
+        The count words are cut into L lanes of m = ceil(count / L) steps,
+        lane j the stream from j*m steps on and the last lane shorter. L is
+        1 below 512 words and doubles with count up to 16, where a packed
+        int is still small enough for CPython's small-object allocator, so
+        the words made next reuse its memory. Each state word holds lane j
+        in bits 128j to 128j+63 of one int; the 64 bits above take a shift
+        or a carry and are masked off, so no lane spills into the next and
+        one pass of the loop steps every lane. The lane starts come from
+        jumps by m, 2m, 4m, ..., each doubling the lanes."""
+        lanes = min(16, 1 << (count >> 9).bit_length())
+        steps = -(-count // lanes)
+        last = count - (lanes - 1) * steps  # in [1, steps] as (lanes - 1)^2 < count
+        state = (self._s0, self._s1, self._s2, self._s3)
+        width = 1
+        while width < lanes:
+            jumped = _jumped(state, _jump_poly(width * steps), _slot_mask(width))
+            state = tuple(s | j << 128 * width for s, j in zip(state, jumped))
+            width *= 2
+        s0, s1, s2, s3 = state
+        mask = _slot_mask(lanes)
+        top = 128 * (lanes - 1)
+        packed, ends = [], []
+        append = packed.append
+        for run in (last, steps - last):
+            for _ in range(run):
+                t = (s0 + s3) & mask
+                append((((t << 23) | (t >> 41)) & mask) + s0)
+                t = (s1 << 17) & mask
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & mask
+            ends.append((s0 >> top, s1 >> top, s2 >> top, s3 >> top))
+        # count steps on is where the last lane stood after its share
+        self._s0, self._s1, self._s2, self._s3 = ends[0]
+        # in native order each slot is its word then the spill half (reversed
+        # when big-endian), so one slice with stride 2L reads one lane
+        order = sys.byteorder
+        view = memoryview(b"".join([w.to_bytes(16 * lanes, order) for w in packed])).cast("Q")
+        packed.clear()  # append still holds the list: free the ints before the words
+        out: list[int] = []
+        for start in range(2 * lanes)[:: 2 if order == "little" else -2]:
+            out += view[start :: 2 * lanes].tolist()
+        del out[count:]
         return out
 
     def _floats(self, count: int) -> list[float]:

@@ -8,6 +8,7 @@ from statistics import NormalDist
 
 import pytest
 
+from returndist import distfit
 from returndist.distfit import (
     LaplaceParams,
     NormalParams,
@@ -16,9 +17,13 @@ from returndist.distfit import (
     _ACKLAM_B,
     _ACKLAM_C,
     _ACKLAM_D,
+    _CHARPOLY,
     _MASK64,
+    _jump_poly,
+    _jumped,
     _laplace_quantiles,
     _lower_quantiles,
+    _slot_mask,
     fit_laplace,
     fit_normal,
     median,
@@ -307,7 +312,8 @@ class TestRng:
         ]
 
     def test_words_pinned_at_workload_size(self):
-        # the same sentinel over 200 000 words, as little-endian bytes
+        # the same sentinel over 200 000 words, as little-endian bytes, drawn
+        # at once: 16 lanes, each started by four jumps
         words = Xoshiro256PlusPlus(42)._words(200_000)
         digest = hashlib.sha256(b"".join(w.to_bytes(8, "little") for w in words)).hexdigest()
         assert digest == "4b84592cbb151cf7e4e19b46788e2cbf4a208ace91805885a1fe831940a9dffc"
@@ -472,6 +478,69 @@ class TestListKernels:
             assert sample_normal(n, normal, seed) == _reference_sample_normal(n, normal, seed)
             assert sample_laplace(n, laplace, seed) == _reference_sample_laplace(n, laplace, seed)
 
+    # the kernel doubles its lanes at these counts, up to 16 from 4096 words
+    LANE_CHANGES = (512, 1024, 2048, 4096)
+
+    @staticmethod
+    def _assert_words_and_state_equal(rng, ref, counts):
+        for count in counts:
+            assert rng._words(count) == [ref.next_uint64() for _ in range(count)], count
+            assert [rng._s0, rng._s1, rng._s2, rng._s3] == ref.s, count
+
+    @staticmethod
+    def _jumps(count):
+        calls = []
+        jumped = distfit._jumped
+
+        def spy(state, poly, mask):
+            calls.append(poly)
+            return jumped(state, poly, mask)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distfit, "_jumped", spy)
+            Xoshiro256PlusPlus(0)._words(count)
+        return len(calls)
+
+    def test_lane_changes_where_listed(self):
+        # one more jump, so twice the lanes, at each listed count: 1 lane
+        # and no jump below the first, 16 lanes and four jumps from the last
+        counts = [0, 1, 2, 100, *(c + d for c in self.LANE_CHANGES for d in (-1, 0, 1)),
+                  8192, 16_384, 65_536, 200_000]
+        for count in counts:
+            assert self._jumps(count) == sum(c <= count for c in self.LANE_CHANGES), count
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_equal_reference_across_lane_changes(self, seed):
+        counts = [c + d for c in self.LANE_CHANGES for d in (-1, 0, 1)]
+        for count in counts:
+            self._assert_words_and_state_equal(
+                Xoshiro256PlusPlus(seed), _ReferenceXoshiro(seed), [count]
+            )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_equal_reference_at_every_remainder(self, seed):
+        # lanes of ceil(count / L) steps, the last one short by count's
+        # remainder modulo L: every remainder for L = 2, 4, 8 and 16
+        for lanes, base in ((2, 600), (4, 1100), (8, 2100), (16, 5000)):
+            for r in range(lanes):
+                self._assert_words_and_state_equal(
+                    Xoshiro256PlusPlus(seed), _ReferenceXoshiro(seed), [base + r]
+                )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_state_carries_over_mixed_calls(self, seed):
+        counts = [1, 513, 0, 4096, 7, 2049, 5001, 3, 1024, 511, 16_385, 2]
+        self._assert_words_and_state_equal(
+            Xoshiro256PlusPlus(seed), _ReferenceXoshiro(seed), counts
+        )
+
+    @pytest.mark.parametrize("seed", (0, 2**64 - 1))
+    def test_samplers_equal_per_draw_reference_at_50k(self, seed):
+        normal, laplace = NormalParams(mean=0.5, sigma=2.0), LaplaceParams(mu=-1.0, scale=0.25)
+        n = 50_000
+        assert sample_normal(n, normal, seed) == _reference_sample_normal(n, normal, seed)
+        assert sample_laplace(n, laplace, seed) == _reference_sample_laplace(n, laplace, seed)
+
     def test_normal_refill_loop(self, monkeypatch):
         # batches short enough to need many refills, which a normal run
         # almost never reaches; every request is even, so pairs stay aligned
@@ -498,3 +567,46 @@ class TestListKernels:
         assert per_point == [_reference_laplace_quantile(q, p) for q in levels]
         assert per_point[3] == p.mu
         assert per_point[2] < p.mu < per_point[4]
+
+
+def _berlekamp_massey(bits: list[int]) -> int:
+    """The connection polynomial of the shortest LFSR that makes bits, as an
+    int whose bit i is c_i: bits[n] = sum of c_i bits[n - i] over GF(2)."""
+    c, b, length, shift = 1, 1, 0, 1
+    for n, bit in enumerate(bits):
+        for i in range(1, length + 1):
+            bit ^= (c >> i) & bits[n - i]
+        if not bit:
+            shift += 1
+        elif 2 * length <= n:
+            c, b, length, shift = c ^ (b << shift), c, n + 1 - length, 1
+        else:
+            c ^= b << shift
+            shift += 1
+    return c
+
+
+class TestJumpAhead:
+    """The characteristic polynomial and the jumps, against the reference."""
+
+    def test_charpoly_from_the_bit_stream(self):
+        # bit 0 of s0 is a linear function of the state, so its minimal
+        # polynomial divides the characteristic one, and is it at degree 256;
+        # that is the reciprocal of Berlekamp-Massey's connection polynomial
+        ref = _ReferenceXoshiro(42)
+        bits = []
+        for _ in range(600):
+            bits.append(ref.s[0] & 1)
+            ref.next_uint64()
+        connection = _berlekamp_massey(bits)
+        assert connection.bit_length() == 257
+        assert int(format(connection, "b")[::-1], 2) == _CHARPOLY
+
+    @pytest.mark.parametrize("seed", (0, 7, 2**64 - 1))
+    @pytest.mark.parametrize("steps", (1, 255, 256, 257, 4999))
+    def test_jump_equals_steps(self, seed, steps):
+        rng, ref = Xoshiro256PlusPlus(seed), _ReferenceXoshiro(seed)
+        jumped = _jumped((rng._s0, rng._s1, rng._s2, rng._s3), _jump_poly(steps), _slot_mask(1))
+        for _ in range(steps):
+            ref.next_uint64()
+        assert list(jumped) == ref.s
