@@ -4,12 +4,10 @@ input files, OHLCV or one return per line, into returns."""
 from __future__ import annotations
 
 import codecs
-import csv
 import io
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from datetime import date
 from itertools import chain, islice, repeat
 
 from ._record import Record
@@ -85,6 +83,10 @@ def _parse_rows(
     ``dates`` and ``kept`` (a list per column it names) and each null row's
     line to ``null_lines``. Those hold the rows before that line; a date
     repeated among them is the first error raised."""
+    # imported here and in _parse_block: only an OHLCV read pays for csv and datetime
+    import csv
+    from datetime import date
+
     seen = set(dates)
     if len(seen) < len(dates):
         raise _duplicate_error(dates, null_lines)
@@ -191,6 +193,10 @@ def _parse_block(
     checked as text (``_plain_prices``, ``_plain_volumes``); any other is
     converted and checked. Its lines and cells die on return, before the
     next block is read."""
+    # imported here and in _parse_rows: only an OHLCV read pays for csv and datetime
+    import csv
+    from datetime import date
+
     if '"' in block or "\r" in block or "\0" in block:
         return None
     lines = block.removesuffix("\n").split("\n")

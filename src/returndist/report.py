@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from collections.abc import Iterator, Sequence
@@ -96,6 +95,8 @@ def report_from_dict(payload: dict) -> AnalysisReport:
 
 def _render_json(payload: dict) -> str:
     """Indented JSON; a NaN or an infinity, as a float or in a tuple, raises naming its field."""
+    import json  # imported here: only a JSON writer pays for json
+
     try:
         return json.dumps(payload, indent=2, allow_nan=False)
     except ValueError:

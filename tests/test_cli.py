@@ -570,21 +570,59 @@ def test_fuzzed_input_never_escapes(tmp_path, capsys):
                     assert len(cells) == 4 and all(map(math.isfinite, cells)), (case, line)
 
 
-def test_cli_imports_only_stdlib():
+def _child_modules(code: str, *args: str) -> set[str]:
+    """The top-level names in ``sys.modules`` that a ``python -S`` child running
+    ``code`` with ``args`` prints on the last line of its stderr."""
     src = Path(returndist.__file__).parent.parent
-    code = "import sys, returndist.cli; print(*sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-c", f"{code}; print(*sys.modules, file=sys.stderr)", *args],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
     )
-    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
-    assert loaded - sys.stdlib_module_names - {"returndist", "__main__"} == set()
-    # the import budget: these cost more to load than the package itself
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "pathlib"}
-    assert loaded & heavy == set()
+    return {name.partition(".")[0] for name in proc.stderr.splitlines()[-1].split()}
+
+
+# the stdlib modules that only some subcommands load: json for a JSON writer,
+# csv and datetime for an OHLCV read
+_DEFERRED = {"json", "csv", "datetime"}
+
+
+def test_cli_imports_only_stdlib():
+    for module in ("returndist", "returndist.cli"):
+        loaded = _child_modules(f"import sys, {module}")
+        assert loaded - sys.stdlib_module_names - {"returndist", "__main__"} == set()
+        # the import budget: these cost more to load than the package itself, and
+        # json, csv and datetime together about 40 % of its import; each path
+        # that needs one of the last three imports it where it is used
+        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "pathlib"}
+        assert loaded & (heavy | _DEFERRED) == set(), module
+
+
+@pytest.mark.parametrize(
+    "command, deferred",
+    [
+        ("sample --dist laplace --n 100 --seed 1 --output out", ""),
+        ("ecdf --input r.txt --returns-only --output out", ""),
+        ("ecdf --input r.txt --returns-only --format svg --output out", ""),
+        ("hist --input r.txt --returns-only --output out", "json"),
+        ("analyze --input r.txt --returns-only", "json"),
+        ("analyze --input r.txt --returns-only --format markdown", ""),
+        ("analyze --input p.csv --format markdown", "csv datetime"),
+        ("ecdf --input p.csv --output out", "csv datetime"),
+        ("ecdf --input p.csv --format svg --output out", "csv datetime"),
+        ("hist --input p.csv --output out", "json csv datetime"),
+        ("analyze --input p.csv", "json csv datetime"),
+    ],
+)
+def test_subcommand_loads_only_the_modules_it_uses(command, deferred, tmp_path, monkeypatch):
+    returns = sample_laplace(200, LaplaceParams(mu=0.0, scale=0.008), 2012)
+    (tmp_path / "p.csv").write_text(ohlcv_csv_from_returns(returns), encoding="utf-8")
+    (tmp_path / "r.txt").write_text(returns_to_lines(returns), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = "import sys; from returndist.cli import main; assert main(sys.argv[1:]) == 0"
+    assert _child_modules(code, *command.split()) & _DEFERRED == set(deferred.split())
 
 
 @pytest.mark.parametrize(
