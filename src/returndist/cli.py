@@ -1,16 +1,24 @@
 """Command-line interface: analyze, sample, ecdf, and hist subcommands.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error,
-3 computation error (degenerate sample, draws that overflow) or any other failure.
+3 computation error (degenerate sample, draws that overflow, out of memory)
+or any other failure.
+
+A command line of options spelt in full, each given once with its value
+after it, is read from the option table ``_COMMANDS`` without argparse;
+argparse, loaded only then, parses any other (help, abbreviations,
+``--flag=value``, values led by ``-``) and reports every usage error. So
+of the stdlib beyond the package's own imports, a successful run loads
+only ``_json``, ``_csv`` and ``_datetime``, each where it is used.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .distfit import LaplaceParams, NormalParams, sample_laplace, sample_normal
 from .errors import DataFormatError, DomainError, InsufficientDataError
@@ -44,64 +52,7 @@ _EXIT_CODES = (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad arguments; the contract reserves 2 for data
-    # errors and 1 for usage errors
-    def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _add_input_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="CSV file (Yahoo OHLCV export)")
-    parser.add_argument(
-        "--price-column",
-        choices=PRICE_FIELDS,
-        default="adj_close",
-        help="price field used for returns (default: adj_close)",
-    )
-    parser.add_argument(
-        "--returns-only",
-        action="store_true",
-        help="input holds one return per line instead of OHLCV rows",
-    )
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="returndist", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_analyze = sub.add_parser("analyze", help="full distribution analysis report")
-    _add_input_options(p_analyze)
-    p_analyze.add_argument("--format", choices=("json", "markdown"), default="json")
-    p_analyze.set_defaults(run=_run_analyze)
-
-    p_sample = sub.add_parser("sample", help="draw seeded synthetic samples")
-    p_sample.add_argument("--dist", choices=("normal", "laplace"), required=True)
-    p_sample.add_argument("--n", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, required=True)
-    p_sample.add_argument("--mu", type=float, default=0.0, help="location (default 0)")
-    p_sample.add_argument("--sigma", type=float, default=None, help="normal std dev")
-    p_sample.add_argument("--lambda", dest="lam", type=float, default=None, help="laplace scale")
-    p_sample.add_argument("--output", required=True)
-    p_sample.set_defaults(run=_run_sample)
-
-    p_ecdf = sub.add_parser("ecdf", help="ECDF vs fitted CDFs, as CSV or SVG")
-    _add_input_options(p_ecdf)
-    p_ecdf.add_argument("--format", choices=("csv", "svg"), default="csv")
-    p_ecdf.add_argument("--output", required=True)
-    p_ecdf.set_defaults(run=_run_ecdf)
-
-    p_hist = sub.add_parser("hist", help="return histogram data as JSON")
-    _add_input_options(p_hist)
-    p_hist.add_argument("--bins", type=int, default=100)
-    p_hist.add_argument("--output", required=True)
-    p_hist.set_defaults(run=_run_hist)
-
-    return parser
-
-
-def _load_returns(args: argparse.Namespace) -> tuple[str, Sequence[float], list[str]]:
+def _load_returns(args: SimpleNamespace) -> tuple[str, Sequence[float], list[str]]:
     # the name less its last suffix, as pathlib's stem: "a.tar.gz" -> "a.tar"; "foo." and ".rc" kept
     name = os.path.basename(args.input)
     dot = name.rfind(".")
@@ -109,21 +60,21 @@ def _load_returns(args: argparse.Namespace) -> tuple[str, Sequence[float], list[
     return symbol, *_read_returns(args.input, args.price_column, args.returns_only)
 
 
-def _load_and_warn(args: argparse.Namespace) -> tuple[str, Sequence[float]]:
+def _load_and_warn(args: SimpleNamespace) -> tuple[str, Sequence[float]]:
     # analyze carries its warnings in the report; the other readers print them
     symbol, values, warnings = _load_returns(args)
     sys.stderr.writelines(f"returndist: warning: {w}\n" for w in warnings)
     return symbol, values
 
 
-def _run_analyze(args: argparse.Namespace) -> str:
+def _run_analyze(args: SimpleNamespace) -> str:
     symbol, values, warnings = _load_returns(args)
     report = analyze_returns(values, symbol, warnings)
     render = render_report_json if args.format == "json" else render_report_markdown
     return render(report) + "\n"
 
 
-def _run_sample(args: argparse.Namespace) -> str:
+def _run_sample(args: SimpleNamespace) -> str:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if not 0 <= args.seed < MAX_SEED:
@@ -151,13 +102,13 @@ def _run_sample(args: argparse.Namespace) -> str:
     return returns_to_lines(values)
 
 
-def _run_ecdf(args: argparse.Namespace) -> str:
+def _run_ecdf(args: SimpleNamespace) -> str:
     symbol, values = _load_and_warn(args)
     columns = ecdf_overlay(values)
     return render_ecdf_csv(columns) if args.format == "csv" else render_ecdf_svg(columns, symbol)
 
 
-def _run_hist(args: argparse.Namespace) -> str:
+def _run_hist(args: SimpleNamespace) -> str:
     if args.bins < 1:
         raise UsageError(f"--bins must be >= 1, got {args.bins}")
     symbol, values = _load_and_warn(args)
@@ -165,12 +116,98 @@ def _run_hist(args: argparse.Namespace) -> str:
     return render_histogram_json(symbol, hist) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+_INPUT_OPTIONS = {
+    "--input": {"required": True, "help": "CSV file (Yahoo OHLCV export)"},
+    "--price-column": {"choices": PRICE_FIELDS, "default": "adj_close",
+                       "help": "price field used for returns (default: adj_close)"},
+    "--returns-only": {"action": "store_true", "default": False,
+                       "help": "input holds one return per line instead of OHLCV rows"},
+}
+_OUTPUT_OPTION = {"--output": {"required": True}}
+
+# each subcommand's help, runner and options in help order, as add_argument takes
+# them: the one option list, which build_parser and _fast_args both read
+_COMMANDS = {
+    "analyze": ("full distribution analysis report", _run_analyze, {
+        **_INPUT_OPTIONS, "--format": {"choices": ("json", "markdown"), "default": "json"}}),
+    "sample": ("draw seeded synthetic samples", _run_sample, {
+        "--dist": {"choices": ("normal", "laplace"), "required": True},
+        "--n": {"type": int, "required": True},
+        "--seed": {"type": int, "required": True},
+        "--mu": {"type": float, "default": 0.0, "help": "location (default 0)"},
+        "--sigma": {"type": float, "help": "normal std dev"},
+        "--lambda": {"dest": "lam", "type": float, "help": "laplace scale"},
+        **_OUTPUT_OPTION}),
+    "ecdf": ("ECDF vs fitted CDFs, as CSV or SVG", _run_ecdf, {
+        **_INPUT_OPTIONS, "--format": {"choices": ("csv", "svg"), "default": "csv"},
+        **_OUTPUT_OPTION}),
+    "hist": ("return histogram data as JSON", _run_hist, {
+        **_INPUT_OPTIONS, "--bins": {"type": int, "default": 100}, **_OUTPUT_OPTION}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    import argparse  # imported here: only help and usage errors pay for argparse and gettext
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits 2 on bad arguments; the contract reserves 2 for data
+        # errors and 1 for usage errors
+        def error(self, message: str) -> None:
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    parser = _Parser(prog="returndist", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, run, options) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=summary)
+        for flag, option in options.items():
+            p_command.add_argument(flag, **option)
+        p_command.set_defaults(run=run)
+    return parser
+
+
+def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What build_parser().parse_args(argv) returns, read from _COMMANDS without
+    argparse; or None, for argparse to parse or reject, unless each option is
+    spelt in full and given once, each value follows its flag, is not led by
+    "-" and holds no "=", converts by the option's type and is one of its
+    choices, and every required option is given."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code is None else int(exc.code)
+        _, run, options = _COMMANDS[argv[0]]
+        given = {}
+        words = iter(argv[1:])
+        for flag in words:
+            option = options[flag]
+            if flag in given:
+                return None
+            if "action" in option:  # store_true: takes no value
+                given[flag] = True
+                continue
+            word = next(words)
+            if word.startswith("-") or "=" in word:
+                return None
+            given[flag] = option.get("type", str)(word)
+            if given[flag] not in option.get("choices", (given[flag],)):
+                return None
+    except (IndexError, KeyError, StopIteration, ValueError):
+        # no subcommand, an unknown one or flag, a flag without its value,
+        # or a value its type rejects
+        return None
+    if not all(flag in given for flag, option in options.items() if option.get("required")):
+        return None
+    return SimpleNamespace(command=argv[0], run=run, **{
+        option.get("dest", flag[2:].replace("-", "_")): given.get(flag, option.get("default"))
+        for flag, option in options.items()})
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_OK if exc.code is None else int(exc.code)
     try:
         text = args.run(args)
         if args.command == "analyze":  # the one subcommand without --output prints its text
@@ -178,6 +215,10 @@ def main(argv: list[str] | None = None) -> int:
         else:  # opened only now, so a run that raises writes no file
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
+    except MemoryError:  # its message is empty: name the request and its size instead
+        size = "".join(f" --{k} {v}" for k, v in vars(args).items() if k in ("n", "bins"))
+        print(f"returndist: error: out of memory ({args.command}{size})", file=sys.stderr)
+        return EXIT_COMPUTE
     except Exception as exc:  # the CLI contract: one line on stderr, never a traceback
         print(f"returndist: error: {exc}", file=sys.stderr)
         return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), EXIT_COMPUTE)

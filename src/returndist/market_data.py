@@ -83,15 +83,16 @@ def _parse_rows(
     ``dates`` and ``kept`` (a list per column it names) and each null row's
     line to ``null_lines``. Those hold the rows before that line; a date
     repeated among them is the first error raised."""
-    # imported here and in _parse_block: only an OHLCV read pays for csv and datetime
-    import csv
-    from datetime import date
+    # imported here and in _parse_block: only an OHLCV read pays for _csv and _datetime;
+    # their Python layers csv.py (which loads re) and datetime.py add nothing used here
+    import _csv
+    from _datetime import date
 
     seen = set(dates)
     if len(seen) < len(dates):
         raise _duplicate_error(dates, null_lines)
     # the blocks end at newlines, so the lines read are the lines of the text
-    reader = csv.reader(chain.from_iterable(map(io.StringIO, blocks)))
+    reader = _csv.reader(chain.from_iterable(map(io.StringIO, blocks)))
     offset = lineno - 1
     picks = [(_COLUMNS.index(name), column) for name, column in kept.items()]
     try:
@@ -132,7 +133,7 @@ def _parse_rows(
             dates.append(row_date)
             for k, column in picks:
                 column.append(values[k])
-    except csv.Error as exc:
+    except _csv.Error as exc:
         raise DataFormatError(f"line {offset + reader.line_num}: {exc}") from None
 
 
@@ -193,15 +194,15 @@ def _parse_block(
     checked as text (``_plain_prices``, ``_plain_volumes``); any other is
     converted and checked. Its lines and cells die on return, before the
     next block is read."""
-    # imported here and in _parse_rows: only an OHLCV read pays for csv and datetime
-    import csv
-    from datetime import date
+    # imported here and in _parse_rows: only an OHLCV read pays for _csv and _datetime
+    import _csv
+    from _datetime import date
 
     if '"' in block or "\r" in block or "\0" in block:
         return None
     lines = block.removesuffix("\n").split("\n")
     longest = max(map(len, lines))
-    if longest > csv.field_size_limit():
+    if longest > _csv.field_size_limit():
         return None
     if lineno == 1:
         if tuple(col.strip() for col in lines.pop(0).lstrip("\ufeff").split(",")) != OHLCV_HEADER:

@@ -94,17 +94,32 @@ def report_from_dict(payload: dict) -> AnalysisReport:
 
 
 def _render_json(payload: dict) -> str:
-    """Indented JSON; a NaN or an infinity, as a float or in a tuple, raises naming its field."""
-    import json  # imported here: only a JSON writer pays for json
+    """The text of json.dumps(payload, indent=2, allow_nan=False); a NaN or an
+    infinity anywhere in a field raises naming that field."""
+    # only json's C string encoder: json.py would load json.decoder, json.scanner and re
+    from _json import encode_basestring_ascii as quote
 
-    try:
-        return json.dumps(payload, indent=2, allow_nan=False)
-    except ValueError:
-        # every float of a payload is a field or in a tuple (params are range-checked)
-        for name, value in payload.items():
-            items = value if isinstance(value, tuple) else (value,)
-            if not all(math.isfinite(x) for x in items if isinstance(x, float)):
-                raise ValueError(f"{name} is not finite; rescale the sample") from None
+    def write(value: object, indent: str, field: str) -> str:
+        if isinstance(value, str):
+            return quote(value)
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError(f"{field} is not finite; rescale the sample")
+            return float.__repr__(value)
+        if value is None or isinstance(value, bool):
+            return {None: "null", True: "true", False: "false"}[value]
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if not value:  # an empty dict, list or tuple
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [f"{quote(k)}: {write(v, inner, field or k)}" for k, v in value.items()]
+            return "{\n" + inner + f",\n{inner}".join(items) + f"\n{indent}}}"
+        items = [write(v, inner, field) for v in value]
+        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{indent}]"
+
+    return write(payload, "", "")
 
 
 def render_report_json(report: AnalysisReport) -> str:

@@ -11,13 +11,14 @@ import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from datetime import date, timedelta
+from itertools import chain, permutations
 from pathlib import Path
 
 import pytest
 
 import returndist
 from returndist import market_data
-from returndist.cli import _load_returns, build_parser, main
+from returndist.cli import _fast_args, _load_returns, build_parser, main
 from returndist.distfit import LaplaceParams, Xoshiro256PlusPlus, sample_laplace
 from returndist.market_data import OHLCV_HEADER, returns_to_lines, simple_returns
 
@@ -584,9 +585,122 @@ def _child_modules(code: str, *args: str) -> set[str]:
     return {name.partition(".")[0] for name in proc.stderr.splitlines()[-1].split()}
 
 
-# the stdlib modules that only some subcommands load: json for a JSON writer,
-# csv and datetime for an OHLCV read
-_DEFERRED = {"json", "csv", "datetime"}
+# for each subcommand, its options as flag and value, each in a form the fast path takes
+_ARGV_BASES = [
+    ("analyze", [["--input", "r.txt"], ["--price-column", "close"], ["--returns-only"],
+                 ["--format", "markdown"]]),
+    ("sample", [["--dist", "laplace"], ["--n", "50"], ["--seed", "3"], ["--mu", "0.001"],
+                ["--lambda", "0.01"], ["--output", "out"]]),
+    ("sample", [["--dist", "normal"], ["--n", "40"], ["--seed", "0"], ["--mu", "1e-3"],
+                ["--sigma", "2"], ["--output", "out"]]),
+    ("ecdf", [["--input", "p.csv"], ["--price-column", "close"], ["--format", "svg"],
+              ["--output", "out"]]),
+    ("hist", [["--input", "r.txt"], ["--returns-only"], ["--bins", "7"], ["--output", "out"]]),
+]
+_BAD_VALUES = ("-1", "-0.5", "nan", "inf", "-inf", "1e999", "x", "", "a=b", "--", "-h", "--help")
+
+
+def _argv_corpus() -> tuple[list[list[str]], list[list[str]]]:
+    """Command lines the fast path must take (every subcommand's options in
+    every order), and variants of them that it may decline: each option
+    missing, repeated, abbreviated, as --flag=value, without its value or
+    with a negative, non-finite, non-numeric or empty one; a stray word,
+    "--", -h and --help at each end; and no subcommand at all."""
+    taken, variants = [], [[], ["-h"], ["--help"], ["bogus"], ["--input", "r.txt"]]
+    for command, groups in _ARGV_BASES:
+        taken += ([command, *chain(*order)] for order in permutations(groups))
+        for i, (flag, *value) in enumerate(groups):
+            rest = list(chain(*groups[:i], *groups[i + 1:]))
+            variants += [[command, *rest], [command, *rest, flag, *value, flag, *value],
+                         [command, *rest, flag[:-1], *value], [command, *rest, flag]]
+            if value:
+                variants.append([command, *rest, f"{flag}={value[0]}"])
+                variants += ([command, flag, bad, *rest] for bad in _BAD_VALUES)
+            else:
+                variants.append([command, flag, "x", *rest])
+        argv = list(chain(*groups))
+        for word in ("x", "--", "-h", "--help", "--bogus"):
+            variants += [[command, word, *argv], [command, *argv, word]]
+    return taken, variants
+
+
+def _namespace_view(args) -> str:
+    # NaN compares unequal to itself, so the values compare by repr
+    return repr(sorted(vars(args).items()))
+
+
+def test_fast_args_decline_or_equal_argparse(capsys):
+    parser = build_parser()
+    taken, variants = _argv_corpus()
+    declined = 0
+    for argv in taken + variants:
+        fast = _fast_args(argv)
+        try:
+            slow = _namespace_view(parser.parse_args(argv))
+        except SystemExit:
+            slow = None
+        capsys.readouterr()
+        if fast is None:
+            assert argv not in taken, argv
+            declined += 1
+        else:
+            assert _namespace_view(fast) == slow, argv
+    assert 0 < declined < len(variants)
+
+
+def test_main_same_without_fast_path(tmp_path, monkeypatch, capsys):
+    returns = sample_laplace(200, LaplaceParams(mu=0.0, scale=0.008), 2012)
+    (tmp_path / "p.csv").write_text(ohlcv_csv_from_returns(returns), encoding="utf-8")
+    (tmp_path / "r.txt").write_text(returns_to_lines(returns), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+    def run(argv: list[str], fast_args) -> tuple:
+        monkeypatch.setattr("returndist.cli._fast_args", fast_args)
+        code = main(list(argv))
+        # every file the run wrote, under whatever name it took for --output
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                   if p.name not in ("p.csv", "r.txt")}
+        for name in written:
+            (tmp_path / name).unlink()
+        return code, *capsys.readouterr(), written
+
+    taken, variants = _argv_corpus()
+    # the orders of one subcommand all parse alike: a few of them stand for the rest
+    for argv in taken[::23] + variants:
+        assert run(argv, _fast_args) == run(argv, lambda argv: None), argv
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+@pytest.mark.parametrize(
+    "command, request_",
+    [
+        ("hist --input r.txt --returns-only --bins 1000000000 --output out",
+         "hist --bins 1000000000"),
+        ("sample --dist laplace --n 1000000000 --seed 1 --output out", "sample --n 1000000000"),
+    ],
+)
+def test_out_of_memory_names_the_request(command, request_, tmp_path):
+    (tmp_path / "r.txt").write_text(returns_to_lines([0.01, -0.02, 0.005]), encoding="utf-8")
+    # the limit is set in the child, and bounds that process alone
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from returndist.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *command.split()],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(returndist.__file__).parent.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"returndist: error: out of memory ({request_})\n"
+    assert not (tmp_path / "out").exists()
+
+
+# the stdlib modules no successful run loads: argparse (with gettext and locale)
+# parses only help and usage errors, and json, csv and datetime load only as
+# their C layers _json, _csv and _datetime, each on the paths that use it
+_PYTHON_LAYERS = {"argparse", "gettext", "locale", "json", "csv", "datetime"}
+_C_LAYERS = {"_json", "_csv", "_datetime"}
 
 
 def test_cli_imports_only_stdlib():
@@ -594,14 +708,13 @@ def test_cli_imports_only_stdlib():
         loaded = _child_modules(f"import sys, {module}")
         assert loaded - sys.stdlib_module_names - {"returndist", "__main__"} == set()
         # the import budget: these cost more to load than the package itself, and
-        # json, csv and datetime together about 40 % of its import; each path
-        # that needs one of the last three imports it where it is used
+        # each path that needs a C layer imports it where it is used
         heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "pathlib"}
-        assert loaded & (heavy | _DEFERRED) == set(), module
+        assert loaded & (heavy | _PYTHON_LAYERS | _C_LAYERS) == set(), module
 
 
 @pytest.mark.parametrize(
-    "command, deferred",
+    "command, c_layers",
     [
         ("sample --dist laplace --n 100 --seed 1 --output out", ""),
         ("ecdf --input r.txt --returns-only --output out", ""),
@@ -616,13 +729,21 @@ def test_cli_imports_only_stdlib():
         ("analyze --input p.csv", "json csv datetime"),
     ],
 )
-def test_subcommand_loads_only_the_modules_it_uses(command, deferred, tmp_path, monkeypatch):
+def test_subcommand_loads_only_the_modules_it_uses(command, c_layers, tmp_path, monkeypatch):
     returns = sample_laplace(200, LaplaceParams(mu=0.0, scale=0.008), 2012)
     (tmp_path / "p.csv").write_text(ohlcv_csv_from_returns(returns), encoding="utf-8")
     (tmp_path / "r.txt").write_text(returns_to_lines(returns), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     code = "import sys; from returndist.cli import main; assert main(sys.argv[1:]) == 0"
-    assert _child_modules(code, *command.split()) & _DEFERRED == set(deferred.split())
+    loaded = _child_modules(code, *command.split())
+    assert loaded & _PYTHON_LAYERS == set()
+    assert loaded & _C_LAYERS == {f"_{name}" for name in c_layers.split()}
+
+
+@pytest.mark.parametrize("command, code", [("--help", 0), ("analyze --inptu x", 1)])
+def test_help_and_usage_errors_load_argparse(command, code):
+    child = f"import sys; from returndist.cli import main; assert main(sys.argv[1:]) == {code}"
+    assert "argparse" in _child_modules(child, *command.split())
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from returndist.gof import compare_fits, log_likelihood
 from returndist.moments import central_moment, moment_report
 from returndist.normality import shapiro_wilk
 from returndist.report import (
+    _render_json,
     analyze_returns,
     ecdf_overlay,
     histogram,
@@ -271,6 +272,30 @@ class TestAnalyzeReturns:
         markdown = render_report_markdown(report)
         assert markdown.splitlines()[2].split()[3] == "a\ufffdb\\|c"
         markdown.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "symbol", ["SPX", "", "日本é", "a\x01b\x1f", 'q"uote', "back\\slash", "x\udcffy", "\u2028\x7f"]
+    )
+    @pytest.mark.parametrize("warnings", [(), ("w1", "line 3: \"null\"\tfield")])
+    def test_json_writer_equals_json_dumps(self, symbol, warnings):
+        # the writer's own layout, string escapes and number forms against json's
+        report = analyze_returns(sample_laplace(60, STD_LAPLACE, 5), symbol, warnings)
+        payload = report_to_dict(report)
+        assert render_report_json(report) == json.dumps(payload, indent=2, allow_nan=False)
+        hist = histogram([-1.5, 0.0, 2.0**-1074, 3.25, 1e300], 4)
+        expected = {"symbol": symbol, "n": 5, **hist._asdict()}
+        assert render_histogram_json(symbol, hist) == json.dumps(expected, indent=2)
+
+    def test_json_writer_forms(self):
+        payload = {"a": [], "b": {}, "c": None, "d": True, "e": False, "f": [1, -0.0, [2**70]],
+                   "g": {"h": (1e-300, 0.1)}, "é\n": ""}
+        assert _render_json(payload) == json.dumps(payload, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+    def test_json_writer_names_a_non_finite_value_in_a_tuple(self, value):
+        payload = {"symbol": "X", "n": 2, "bin_edges": (0.0, value), "counts": (1, 1)}
+        with pytest.raises(ValueError, match="^bin_edges is not finite; rescale the sample$"):
+            _render_json(payload)
 
 
 class TestHistogram:
