@@ -155,34 +155,16 @@ def _line_blocks(pieces: Iterable[str]) -> Iterator[str]:
         yield tail
 
 
-# a plain decimal of at most this many characters with a digit 1-9 lies in
-# [1e-307, 1e308), so it is finite and > 0; an integer this long is far
-# inside int's digit limit
+# plainness is judged per block: a block is plain when its lines are at most
+# this many characters and each priced line, its ASCII digits deleted, is
+# _PLAIN_SIGNS. A price cell of it is digits with exactly one dot: a decimal
+# under 1e308 and, with a digit 1-9, at least 1e-307, so finite and > 0; a
+# volume cell is digits, far inside int's digit limit. A block that is not
+# plain converts every column.
 _PLAIN_CHARS = 308
 
-
-def _plain_prices(cells: list[str]) -> bool:
-    """Whether every cell is ASCII digits with at most one dot and a digit
-    1-9, which ``float`` takes as finite and > 0 when the cell is at most
-    ``_PLAIN_CHARS`` long."""
-    text = ",".join(cells)
-    if not text.isascii():
-        return False
-    column = text.encode("ascii")
-    signs = column.translate(None, b"0123456789")  # the commas, and each cell's other bytes
-    return (
-        len(signs) == len(cells) - 1 + signs.count(b".")
-        and b".." not in signs
-        and b",," not in b"," + column.translate(None, b"0.") + b","
-    )
-
-
-def _plain_volumes(cells: list[str]) -> bool:
-    """Whether every cell is ASCII digits, which ``int`` takes as >= 0 when
-    the cell is at most ``_PLAIN_CHARS`` long (``str.isdigit`` alone takes
-    digits such as '²' that ``int`` refuses)."""
-    text = "".join(cells)
-    return text.isascii() and text.isdigit() and all(cells)
+# the date's two dashes and six commas, with one dot in each price
+_PLAIN_SIGNS = b"--,.,.,.,.,.,"
 
 
 def _parse_block(
@@ -190,10 +172,11 @@ def _parse_block(
 ) -> tuple[list[date], dict[str, list], list[int], int] | None:
     """One block's dates, columns named in ``keep`` and null-row lines, and the
     line number after it; or None where ``_parse_columns`` hands the block to
-    the row parser. A column not in ``keep`` whose cells are all plain is
-    checked as text (``_plain_prices``, ``_plain_volumes``); any other is
-    converted and checked. Its lines and cells die on return, before the
-    next block is read."""
+    the row parser. In a plain block (``_PLAIN_CHARS``) a column not in
+    ``keep`` is checked as text: a price column passes when no cell is only
+    zeros and dots, the volume when no cell is empty. Any other column, and
+    every column of a block that is not plain, is converted and checked.
+    Its lines and cells die on return, before the next block is read."""
     # imported here and in _parse_rows: only an OHLCV read pays for _csv and _datetime
     import _csv
     from _datetime import date
@@ -204,41 +187,56 @@ def _parse_block(
     longest = max(map(len, lines))
     if longest > _csv.field_size_limit():
         return None
+    i = end = 0  # the index of the line after the last hit's, and where it starts
     if lineno == 1:
-        if tuple(col.strip() for col in lines.pop(0).lstrip("\ufeff").split(",")) != OHLCV_HEADER:
+        header = lines.pop(0)
+        if tuple(col.strip() for col in header.lstrip("\ufeff").split(",")) != OHLCV_HEADER:
             return None
-        lineno = 2
-    if not set(map(str.count, lines, repeat(","))) <= {6}:
+        lineno, end = 2, len(header) + 1
+    if "" in lines:  # a blank line, which the row parser skips
         return None
     null_lines = []
-    # each "null" found lies in the first line from lines[i] on with its line's
-    # text: an equal line before it would hold a "null" found earlier (a valid
-    # header holds none, so none lies in it)
-    i = end = 0  # the index of the line after the last hit's, and where it starts
-    while (hit := block.find("null", end)) >= 0:
+    # a line with a null cell holds an "n", which find locates by memchr, far
+    # faster than "null"; each "n" found lies in the first line from lines[i]
+    # on with its line's text: an equal line before it would hold an "n" found earlier
+    while (hit := block.find("n", end)) >= 0:
         end = block.find("\n", hit) + 1 or len(block) + 1
         i = lines.index(block[block.rfind("\n", 0, hit) + 1 : end - 1], i)
-        if any(cell.strip() == "null" for cell in lines[i].split(",")[1:]):
+        row = lines[i].split(",")
+        if any(cell.strip() == "null" for cell in row[1:]):
+            if len(row) != len(OHLCV_HEADER):
+                return None
             null_lines.append(lineno + i)
             lines[i] = ""
         i += 1
-    cells = ",".join(filter(None, lines)).split(",")
-    if cells == [""]:  # no priced line: the header alone, or only null rows
+    text = "\n".join(filter(None, lines))
+    if not text:  # no priced line: the header alone, or only null rows
         return [], {}, null_lines, lineno + len(lines)
-    plain = longest <= _PLAIN_CHARS  # and no cell is longer than its line
+    # the newlines stay in the signature: without them a 7-comma line ending
+    # in a date and a 5-comma line after it would realign to two plain lines
+    priced = len(lines) - len(null_lines)
+    signs = text.isascii() and text.encode().translate(None, b"0123456789")
+    plain = longest <= _PLAIN_CHARS and signs == b"\n".join(repeat(_PLAIN_SIGNS, priced))
+    if not (plain or set(map(str.count, filter(None, lines), repeat(","))) <= {6}):
+        return None
+    cells = text.replace("\n", ",").split(",")
     kept = {}
     # the values are checked as they are converted, so a bad cell stops the pass at its block
     try:
         dates = list(map(date.fromisoformat, cells[0::7]))
         for k, name in enumerate(_COLUMNS[:5], start=1):
-            if plain and name not in keep and _plain_prices(cells[k::7]):
+            column = cells[k::7]
+            # a cell led by 1-9, or with one anywhere, is a positive decimal
+            if plain and name not in keep and (
+                min(column) >= "1" or "" not in map(str.strip, column, repeat("0."))
+            ):
                 continue
-            values = list(map(float, cells[k::7]))
+            values = list(map(float, column))
             if not all(map(math.isfinite, values)) or min(values) <= 0.0:
                 return None
             if name in keep:
                 kept[name] = values
-        if not (plain and "volume" not in keep and _plain_volumes(cells[6::7])):
+        if not (plain and "volume" not in keep and "" not in cells[6::7]):
             values = list(map(int, cells[6::7]))
             if min(values) < 0:
                 return None
@@ -274,9 +272,10 @@ def _parse_columns(
     Each block is checked and converted whole, then dropped, so only one
     block's lines and cells are alive at a time; of the converted cells only
     the dates and the kept columns stay. Every cell is checked, kept or not:
-    a dropped column as text where its cells are plain, converted otherwise.
+    a dropped column as text in a plain block (``_PLAIN_CHARS``), every
+    column converted in any other.
     From the first block ``_parse_block`` declines (quotes, CR or NUL, a bad
-    header, a line without seven fields or over the csv field limit, a bad
+    header, a blank line, a line without seven fields or over the csv field limit, a bad
     cell), ``_parse_rows`` reads row by row to the end, appending to the same
     lists. The result and every error equal those of ``_parse_rows`` over the
     whole text.
@@ -366,7 +365,7 @@ def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
     time; from the first slice with anything else (quotes, blank lines) or
     a bad cell, the csv module reads row by row, with the same results.
     Every column is kept, so every cell is converted; a parse that drops
-    columns checks the plain ones as text instead.
+    columns checks them as text in a plain block instead.
     """
     pieces = (text[i : i + _CHUNK_CHARS] for i in range(0, len(text), _CHUNK_CHARS))
     dates, columns, warnings = _parse_columns(_line_blocks(pieces), _COLUMNS)

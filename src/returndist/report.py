@@ -142,8 +142,8 @@ def render_report_markdown(report: AnalysisReport) -> str:
             rows.extend((f"{family}_{param}", f"{v:.6g}") for param, v in value.items())
         elif isinstance(value, float):
             rows.append((name, f"{value:.6g}"))
-        else:  # a bare | in a cell would start a new column
-            rows.append((name, _text(str(value), {"|": r"\|"})))
+        else:  # a bare | in a cell would start a new column, and CR or LF a new line
+            rows.append((name, _text(str(value), {"|": r"\|", "\n": "\ufffd", "\r": "\ufffd"})))
     key_width = max(len(k) for k, _ in rows)
     value_width = max(len(v) for _, v in rows)
     lines = [f"| {k.ljust(key_width)} | {v.rjust(value_width)} |" for k, v in rows]

@@ -100,7 +100,8 @@ def uniform(rng: Xoshiro256PlusPlus) -> float:
     return rng._floats(1)[0]
 
 
-_FIELD_VALUES = (b"null", b"1e300", b"1e-300", b"5e-324", b"0", b"-1", b"")
+_FIELD_VALUES = (b"null", b"1e300", b"1e-300", b"5e-324", b"0", b"-1", b"", b"100", b"0.5",
+                 b"0.000", b".", b"1.2.3")
 _TOKENS = (b"-", b"e", b".", b",", b"\n", b'"', b" ", b"\x00")
 
 

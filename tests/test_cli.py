@@ -150,6 +150,16 @@ class TestAnalyze:
         row = next(line for line in proc.stdout.splitlines() if line.startswith(b"| symbol "))
         assert row.split(b"|")[2].strip() == "x\ufffdy".encode("utf-8")
 
+    def test_markdown_with_line_break_in_file_name(self, tmp_path, laplace_csv, capsys):
+        # a file name may hold LF, which would split the symbol's table line in two
+        path = tmp_path / "a\nb.csv"
+        path.write_bytes(laplace_csv.read_bytes())
+        assert main(["analyze", "--input", str(path), "--format", "markdown"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert len(table) == 19
+        assert all(line.startswith("|") and line.endswith("|") for line in table)
+        assert table[2].split() == ["|", "symbol", "|", "a\ufffdb", "|"]
+
     def test_constant_returns_exit_3(self, tmp_path, capsys):
         path = tmp_path / "flat.txt"
         path.write_text("0.01\n" * 50, encoding="utf-8")

@@ -199,9 +199,10 @@ def _assert_paths_agree(text: str, columnar: bool) -> None:
     _assert_kept_column_agrees(text, calls)
 
 
-ROW_1 = "2012-01-03,100,101,99,100.5,100.5,1000"
-ROW_2 = "2012-01-04,101,102,100,101.5,101.5,2000"
-ROW_3 = "2012-01-05,102,103,101,102.5,102.5,3000"
+# plain rows: one dot in each price, so a block of them is checked as text
+ROW_1 = "2012-01-03,100.0,101.0,99.0,100.5,100.5,1000"
+ROW_2 = "2012-01-04,101.0,102.0,100.0,101.5,101.5,2000"
+ROW_3 = "2012-01-05,102.0,103.0,101.0,102.5,102.5,3000"
 
 
 def _with(row: str, index: int, cell: str) -> str:
@@ -248,6 +249,7 @@ class TestColumnarPath:
             (make_csv(ROW_1, " , , , , , , ", ROW_2), False),
             (make_csv(ROW_1, _with(ROW_2, 0, " 2012-01-04")), False),
             (make_csv(ROW_1, ROW_2 + "\0"), False),
+            (make_csv(ROW_1, ROW_2, ""), False),
             (make_csv(ROW_1, _with(_with(ROW_2, 1, "0" * 70_000 + "101"), 2, "0" * 70_000 + "102")),
              False),
             (make_csv("2012-01-03,null,null,null,null,null,null"), True),
@@ -257,8 +259,8 @@ class TestColumnarPath:
         ],
         ids=[
             "crlf", "quoted-field", "blank-lines", "whitespace-row", "spaced-date", "nul",
-            "line-over-csv-limit", "all-null", "null-prefixed-price", "null-date",
-            "null-in-date-then-null-row",
+            "trailing-blank-line", "line-over-csv-limit", "all-null", "null-prefixed-price",
+            "null-date", "null-in-date-then-null-row",
         ],
     )
     def test_fallback_inputs(self, text, columnar):
@@ -303,6 +305,8 @@ class TestColumnarPath:
             (make_csv(ROW_2, ROW_1, ROW_3, ROW_1), True),
             (make_csv(ROW_1, ROW_2 + ",5"), False),
             (make_csv(ROW_1, ROW_2.rpartition(",")[0]), False),
+            (make_csv(ROW_1, ROW_2 + "," + ROW_3[:10], ROW_3[11:]), False),
+            (make_csv(ROW_1, "2012-01-04,null,null,null,null,null", ROW_3), False),
             (make_csv(ROW_1, _with(ROW_2, 0, "03/01/2012")), False),
             (make_csv(ROW_1, _with(ROW_2, 2, "abc")), False),
             (make_csv(ROW_1, _with(ROW_2, 6, "1.5")), False),
@@ -318,7 +322,8 @@ class TestColumnarPath:
         ],
         ids=[
             "empty", "header-only", "header-no-newline", "bad-header", "duplicate-date",
-            "unsorted-duplicate-date", "extra-field", "missing-field", "bad-date", "bad-price",
+            "unsorted-duplicate-date", "extra-field", "missing-field", "realigning-lines",
+            "null-row-five-commas", "bad-date", "bad-price",
             "float-volume", "negative-volume", "nan-price", "inf-price", "negative-zero-price",
             "zero-price", "field-over-csv-limit", "surrogate", "header-field-over-csv-limit",
         ],
@@ -328,23 +333,26 @@ class TestColumnarPath:
             parse_ohlcv_csv(text, "X")
         _assert_paths_agree(text, columnar)
 
-    # cells in a column the parse drops: the first eight are finite and > 0 to
-    # float, though only the first three pass the text check
+    # cells in a column the parse drops: the first ten are finite and > 0 to
+    # float, though only the first four pass the text check; a block holding
+    # any other converts every column
     @pytest.mark.parametrize("row", [0, 1, 2])
     @pytest.mark.parametrize("index", [1, 4])
     @pytest.mark.parametrize(
         "cell, columnar",
         [
-            (".5", True), ("1.", True), ("00.50", True),
+            (".5", True), ("1.", True), ("00.50", True), ("0.5", True),
             ("1e3", True), ("+1", True), (" 1", True), ("1_0", True), ("\u0661\u0662", True),
-            ("0", False), ("0.0", False), (".", False), ("", False),
+            ("100", True),
+            ("0", False), ("0.0", False), ("0.000", False), (".", False), ("", False),
             ("1.2.3", False), ("nan", False), ("-1", False),
             ("9" * 309, False), ("0." + "0" * 400 + "1", False),
         ],
         ids=[
-            "lead-dot", "trail-dot", "zero-padded", "exponent", "plus", "spaced", "underscore",
-            "arabic-digits", "zero", "zero-point-zero", "dot", "empty", "two-dots", "nan",
-            "negative", "overflow-309-digits", "underflow-403-chars",
+            "lead-dot", "trail-dot", "zero-padded", "sub-one", "exponent", "plus", "spaced",
+            "underscore", "arabic-digits", "no-dot", "zero", "zero-point-zero",
+            "zero-point-zeros", "dot", "empty", "two-dots", "nan", "negative",
+            "overflow-309-digits", "underflow-403-chars",
         ],
     )
     def test_dropped_price_cells(self, cell, columnar, index, row):
@@ -356,8 +364,9 @@ class TestColumnarPath:
     @pytest.mark.parametrize(
         "cell, columnar",
         [("0", True), ("007", True), ("+5", True), ("1_000", True), ("1.0", False),
-         ("\u00b2", False)],
-        ids=["zero", "zero-padded", "plus", "underscore", "decimal", "superscript-two"],
+         ("5.", False), ("", False), ("\u00b2", False)],
+        ids=["zero", "zero-padded", "plus", "underscore", "decimal", "trailing-dot", "empty",
+             "superscript-two"],
     )
     def test_dropped_volume_cells(self, cell, columnar, row):
         rows = [ROW_1, ROW_2, ROW_3]
@@ -366,8 +375,8 @@ class TestColumnarPath:
 
     @pytest.mark.parametrize("open_cell", [None, "1e3"])
     def test_dropped_columns_not_converted(self, monkeypatch, open_cell):
-        # only the kept column is converted; a dropped column is converted
-        # only in the block where a cell fails the text check
+        # only the kept column is converted, but in the block where a cell
+        # is not plain every column is
         monkeypatch.setattr(market_data, "_CHUNK_CHARS", 300)
         text = ohlcv_csv_from_returns([0.001 * (i % 7 - 3) for i in range(60)])
         expected = market_data._parse_columns(market_data._line_blocks([text]), ("adj_close",))
@@ -389,13 +398,38 @@ class TestColumnarPath:
         with row_parser_calls() as calls:
             outcome = market_data._parse_columns(iter(blocks), ("adj_close",))
         assert outcome == expected and calls == []
-        cells_seen = []
+        cells_seen: dict[str, list[str]] = {"float": [], "int": []}
         for block in blocks:
             rows = [line.split(",") for line in block.splitlines() if line[0].isdigit()]
             if any(row[1] == open_cell for row in rows):
-                cells_seen += [row[1] for row in rows]
-            cells_seen += [row[5] for row in rows]
-        assert converted == {"float": cells_seen, "int": []}
+                cells_seen["float"] += [row[k] for k in range(1, 6) for row in rows]
+                cells_seen["int"] += [row[6] for row in rows]
+            else:
+                cells_seen["float"] += [row[5] for row in rows]
+        assert converted == cells_seen
+
+    @pytest.mark.parametrize("chunk_chars", [1 << 20, 300])
+    def test_realigning_lines_declined(self, monkeypatch, chunk_chars):
+        # a 7-comma line ending in the next row's date, then that row's other
+        # six cells: with a comma for the newline between them they are two
+        # plain rows, so only a plainness check that keeps the newlines declines
+        monkeypatch.setattr(market_data, "_CHUNK_CHARS", chunk_chars)
+        lines = ohlcv_csv_from_returns([0.001] * 20).splitlines()
+        k = 2
+        day, _, rest = lines[k + 1].partition(",")
+        lines[k : k + 2] = [lines[k] + "," + day, rest]
+        text = "\n".join(lines) + "\n"
+        pieces = (text[i : i + chunk_chars] for i in range(0, len(text), chunk_chars))
+        blocks = list(market_data._line_blocks(pieces))
+        assert lines[k + 1] + "\n" in blocks[0]  # the pair lies in the first block
+        message = f"^line {k + 1}: expected 7 fields, got 8$"
+        for keep in (("adj_close",), market_data._COLUMNS):
+            with row_parser_calls() as calls, pytest.raises(DataFormatError, match=message):
+                market_data._parse_columns(iter(blocks), keep)
+            assert calls == [(1, text)]
+        with row_parser_calls() as calls, pytest.raises(DataFormatError, match=message):
+            parse_ohlcv_csv(text, "X")
+        assert calls == [(1, text)]
 
     @pytest.mark.parametrize("chunk_chars", [1 << 20, 40])
     def test_mutations_match_row_parser(self, monkeypatch, chunk_chars):

@@ -251,6 +251,17 @@ class TestAnalyzeReturns:
                 assert len(re.findall(r"(?<!\\)\|", line)) == 3, line
             assert symbol.replace("|", r"\|") in table[2]
 
+    @pytest.mark.parametrize("symbol", ["a\nb", "a\rb", "a\r\nb", "\n|"])
+    def test_markdown_one_row_per_metric(self, symbol):
+        # a file name may hold CR or LF, which would end the table line
+        report = analyze_returns(sample_laplace(50, STD_LAPLACE, 4), symbol)
+        markdown = render_report_markdown(report)
+        table = markdown.split("\n")
+        assert len(table) == 19 and "\r" not in markdown
+        assert all(line.startswith("|") and line.endswith("|") for line in table)
+        cell = symbol.replace("|", r"\|").replace("\r", "\ufffd").replace("\n", "\ufffd")
+        assert table[2].split()[3] == cell
+
     def test_json_rejects_non_finite(self):
         report = report_from_dict({**report_to_dict(sample_report()), "skew": math.inf})
         with pytest.raises(ValueError):
