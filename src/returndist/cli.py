@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
-            return EXIT_OK if exc.code is None else int(exc.code)
+            return exc.code  # argparse exits with an int: 0 after --help, else EXIT_USAGE
     try:
         text = args.run(args)
         if args.command == "analyze":  # the one subcommand without --output prints its text

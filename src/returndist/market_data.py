@@ -99,8 +99,6 @@ def _parse_rows(
         for row in reader:
             line, lineno = lineno, offset + reader.line_num + 1
             if line == 1:
-                if row:
-                    row[0] = row[0].lstrip("\ufeff")
                 if tuple(col.strip() for col in row) != OHLCV_HEADER:
                     raise DataFormatError(
                         f"unknown header {','.join(row)!r}; expected {','.join(OHLCV_HEADER)!r}"
@@ -138,20 +136,21 @@ def _parse_rows(
 
 
 def _line_blocks(pieces: Iterable[str]) -> Iterator[str]:
-    """The text that the pieces join to, as blocks of whole lines that join
-    back to it: one block per piece that holds a newline, ending with its last
-    one, and the text after the last newline as a block of its own. A piece
-    without a newline joins the next block, so a line may span any number of
-    pieces."""
-    tail = ""
+    """The text that the pieces join to, less one leading BOM, as blocks of
+    whole lines that join back to it: one block per piece that holds a
+    newline, ending with its last one, and the text after the last newline as
+    a block of its own. A piece without a newline joins the next block, so a
+    line may span any number of pieces. No block is empty, so a text that is
+    only a BOM gives none."""
+    tail, bom = "", "\ufeff"  # dropped from the start of the first block only
     for piece in pieces:
         cut = piece.rfind("\n") + 1
         if cut:
-            yield tail + piece[:cut]
-            tail = piece[cut:]
+            yield (tail + piece[:cut]).removeprefix(bom)
+            tail, bom = piece[cut:], ""
         else:
             tail += piece
-    if tail:
+    if tail := tail.removeprefix(bom):
         yield tail
 
 
@@ -172,10 +171,12 @@ def _parse_block(
 ) -> tuple[list[date], dict[str, list], list[int], int] | None:
     """One block's dates, columns named in ``keep`` and null-row lines, and the
     line number after it; or None where ``_parse_columns`` hands the block to
-    the row parser. In a plain block (``_PLAIN_CHARS``) a column not in
-    ``keep`` is checked as text: a price column passes when no cell is only
-    zeros and dots, the volume when no cell is empty. Any other column, and
-    every column of a block that is not plain, is converted and checked.
+    the row parser. A block at line 1 starts with the header, its BOM
+    already dropped by ``_line_blocks``. In a plain block (``_PLAIN_CHARS``)
+    a column not in ``keep`` is checked as text: a price column passes when
+    no cell is only zeros and dots, the volume when no cell is empty. Any
+    other column, and every column of a block that is not plain, is
+    converted and checked.
     Its lines and cells die on return, before the next block is read."""
     # imported here and in _parse_rows: only an OHLCV read pays for _csv and _datetime
     import _csv
@@ -190,7 +191,7 @@ def _parse_block(
     i = end = 0  # the index of the line after the last hit's, and where it starts
     if lineno == 1:
         header = lines.pop(0)
-        if tuple(col.strip() for col in header.lstrip("\ufeff").split(",")) != OHLCV_HEADER:
+        if tuple(col.strip() for col in header.split(",")) != OHLCV_HEADER:
             return None
         lineno, end = 2, len(header) + 1
     if "" in lines:  # a blank line, which the row parser skips
@@ -314,7 +315,8 @@ def _parse_columns(
 
 def _decoded_pieces(fh: io.BufferedIOBase, path: str) -> Iterator[str]:
     """The text of a binary file, as a text-mode read gives it (CRLF and CR
-    read as LF, a BOM kept), decoded ``_CHUNK_CHARS`` bytes at a time."""
+    read as LF, a BOM kept for the reader to drop), decoded ``_CHUNK_CHARS``
+    bytes at a time."""
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
     done = 0  # the bytes read before this read
     final = False
@@ -408,13 +410,14 @@ def simple_returns(prices: PriceSeries, field: str = "adj_close") -> ReturnSerie
 
 
 def parse_return_lines(text: str) -> list[float]:
-    """Parse the one-return-per-line format written by the sample command.
+    """Parse the one-return-per-line format written by the sample command,
+    less one leading BOM.
 
     The lines are converted a whole file at a time up to the first blank,
     unparsable or non-finite one, and the line loop, which gives every
     error, carries on from that line: no line before it is converted twice.
     """
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
     values: list[float] = []
     try:
         # float() strips the same whitespace as str.strip(), so a line it takes

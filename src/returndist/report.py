@@ -94,8 +94,10 @@ def report_from_dict(payload: dict) -> AnalysisReport:
 
 
 def _render_json(payload: dict) -> str:
-    """The text of json.dumps(payload, indent=2, allow_nan=False); a NaN or an
-    infinity anywhere in a field raises naming that field."""
+    """The text of json.dumps(payload, indent=2, allow_nan=False) for the
+    forms a report or histogram payload holds: str, int, float, and dicts,
+    lists and tuples of them, no dict empty; a NaN or an infinity anywhere in
+    a field raises naming that field."""
     # only json's C string encoder: json.py would load json.decoder, json.scanner and re
     from _json import encode_basestring_ascii as quote
 
@@ -106,12 +108,10 @@ def _render_json(payload: dict) -> str:
             if not math.isfinite(value):
                 raise ValueError(f"{field} is not finite; rescale the sample")
             return float.__repr__(value)
-        if value is None or isinstance(value, bool):
-            return {None: "null", True: "true", False: "false"}[value]
         if isinstance(value, int):
             return int.__repr__(value)
-        if not value:  # an empty dict, list or tuple
-            return "{}" if isinstance(value, dict) else "[]"
+        if not value:  # an empty list: a report without warnings
+            return "[]"
         inner = indent + "  "
         if isinstance(value, dict):
             items = [f"{quote(k)}: {write(v, inner, field or k)}" for k, v in value.items()]

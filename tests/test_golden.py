@@ -64,6 +64,7 @@ def _inputs() -> list[tuple[str, str, bytes, tuple[str, ...]]]:
         ("n4.txt", b"0.01\n-0.02\n0.03\n0.005\n", ()),
         ("ties.txt", b"0.01\n0.01\n-0.02\n0.01\n0.03\n-0.02\n0.0\n", ()),
         ("blank-lines.txt", b"\n 0.01\n\n-0.02 \n0.03\n0.005\n-0.01\n", ()),
+        ("bom.txt", b"\xef\xbb\xbf" + _lines(_SHORT), ()),
         ("constant.txt", b"0.01\n" * 6, ()),
         ("constant-big.txt", b"1.8014398509481984e+16\n" * 4, ()),
         ("n3.txt", b"0.01\n-0.02\n0.03\n", ()),
@@ -89,6 +90,7 @@ def _inputs() -> list[tuple[str, str, bytes, tuple[str, ...]]]:
         ("negative-volume.csv", _rows("2012-01-03,1,1,1,1,1,10", "2012-01-04,1,1,1,1,2,-1"), ()),
         ("fields.csv", _rows("2012-01-03,1,1,1,1,1,10", "2012-01-04,1,1,1,1,2"), ()),
         ("empty.csv", _rows(), ()),
+        ("bom-only.csv", b"\xef\xbb\xbf", ()),
         ("one-price.csv", _rows("2012-01-03,1,1,1,1,1,10"), ()),
         ("empty.txt", b"", ()),
         ("bad-return.txt", b"0.01\nabc\n", ()),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from datetime import date, timedelta
 from itertools import accumulate
 
@@ -256,11 +257,12 @@ class TestColumnarPath:
             (make_csv(ROW_1, _with(ROW_2, 1, "nullx"), ROW_3), False),
             (make_csv(ROW_1, _with(ROW_2, 0, "null"), ROW_3), False),
             (make_csv(ROW_1, _with(ROW_2, 0, "2012-01-04null"), _with(ROW_3, 3, "null")), False),
+            ("\ufeff" + make_csv(ROW_1, ROW_2).replace("Date", '"Date"', 1), False),
         ],
         ids=[
             "crlf", "quoted-field", "blank-lines", "whitespace-row", "spaced-date", "nul",
             "trailing-blank-line", "line-over-csv-limit", "all-null", "null-prefixed-price",
-            "null-date", "null-in-date-then-null-row",
+            "null-date", "null-in-date-then-null-row", "bom-quoted-header",
         ],
     )
     def test_fallback_inputs(self, text, columnar):
@@ -298,6 +300,8 @@ class TestColumnarPath:
         "text, columnar",
         [
             ("", True),
+            ("\ufeff", True),
+            ("\ufeff\ufeff" + make_csv(ROW_1, ROW_2), False),
             (HEADER + "\n", True),
             (HEADER, True),
             ("Date,Open,Close\n2012-01-03,1,2\n", False),
@@ -321,7 +325,7 @@ class TestColumnarPath:
              False),
         ],
         ids=[
-            "empty", "header-only", "header-no-newline", "bad-header", "duplicate-date",
+            "empty", "bom-only", "two-boms", "header-only", "header-no-newline", "bad-header", "duplicate-date",
             "unsorted-duplicate-date", "extra-field", "missing-field", "realigning-lines",
             "null-row-five-commas", "bad-date", "bad-price",
             "float-volume", "negative-volume", "nan-price", "inf-price", "negative-zero-price",
@@ -485,6 +489,20 @@ class TestColumnarPath:
             with pytest.raises(DataFormatError, match=f"^line {k + 1}: negative volume -1$"):
                 parse_ohlcv_csv(text, "X")
 
+    @pytest.mark.parametrize("chunk_chars", [1 << 20, 300])
+    def test_bom_dropped_at_text_start_only(self, monkeypatch, chunk_chars):
+        # a BOM that starts a later block is data: its line's date does not parse
+        monkeypatch.setattr(market_data, "_CHUNK_CHARS", chunk_chars)
+        lines = ohlcv_csv_from_returns([0.001] * 30).splitlines()
+        text = "\ufeff" + "\n".join(lines) + "\n"
+        k = text.count("\n", 0, text.rfind("\n", 0, 300) + 1)  # line k + 1 starts block 2
+        lines[k] = "\ufeff" + lines[k]
+        text = "\ufeff" + "\n".join(lines) + "\n"
+        message = f"line {k + 1}: unparsable date {lines[k].partition(',')[0]!r}"
+        _assert_paths_agree(text, columnar=False)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            parse_ohlcv_csv(text, "X")
+
     @pytest.mark.parametrize("edit", ["bad-last-volume", "late-quoted-cell"])
     def test_row_parser_starts_at_declined_block(self, monkeypatch, edit):
         # the blocks before it are parsed once, by the column pass only
@@ -609,10 +627,11 @@ class TestSimpleReturns:
 
 
 def _return_lines_per_line(text: str):
-    """The return-file parser one line at a time, as a value list or the
-    (type, message) it raises: the reference for parse_return_lines."""
+    """The return-file parser one line at a time, less one leading BOM, as a
+    value list or the (type, message) it raises: the reference for
+    parse_return_lines."""
     values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -660,6 +679,10 @@ class TestReturnLines:
             "",
             "\n\n",
             " \t\r\n",
+            "\ufeff0.01\n-0.02\n",
+            "\ufeff",
+            "\ufeff\ufeff0.01\n",
+            "0.01\n\ufeff-0.02\n",
         ],
     )
     def test_equals_per_line_reference(self, text):
