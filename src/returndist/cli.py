@@ -126,7 +126,7 @@ _INPUT_OPTIONS = {
 _OUTPUT_OPTION = {"--output": {"required": True}}
 
 # each subcommand's help, runner and options in help order, as add_argument takes
-# them: the one option list, which build_parser and _fast_args both read
+# them: the one table, read by build_parser, _fast_args and main's dispatch
 _COMMANDS = {
     "analyze": ("full distribution analysis report", _run_analyze, {
         **_INPUT_OPTIONS, "--format": {"choices": ("json", "markdown"), "default": "json"}}),
@@ -149,20 +149,12 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     import argparse  # imported here: only help and usage errors pay for argparse and gettext
 
-    class _Parser(argparse.ArgumentParser):
-        # argparse exits 2 on bad arguments; the contract reserves 2 for data
-        # errors and 1 for usage errors
-        def error(self, message: str) -> None:
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-    parser = _Parser(prog="returndist", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="returndist", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, run, options) in _COMMANDS.items():
+    for command, (summary, _, options) in _COMMANDS.items():
         p_command = sub.add_parser(command, help=summary)
         for flag, option in options.items():
             p_command.add_argument(flag, **option)
-        p_command.set_defaults(run=run)
     return parser
 
 
@@ -170,10 +162,10 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
     """What build_parser().parse_args(argv) returns, read from _COMMANDS without
     argparse; or None, for argparse to parse or reject, unless each option is
     spelt in full and given once, each value follows its flag, is not led by
-    "-" and holds no "=", converts by the option's type and is one of its
-    choices, and every required option is given."""
+    "-", converts by the option's type and is one of its choices, and every
+    required option is given."""
     try:
-        _, run, options = _COMMANDS[argv[0]]
+        options = _COMMANDS[argv[0]][2]
         given = {}
         words = iter(argv[1:])
         for flag in words:
@@ -184,7 +176,7 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
                 given[flag] = True
                 continue
             word = next(words)
-            if word.startswith("-") or "=" in word:
+            if word.startswith("-"):  # argparse reads "-1" as a value but "-inf" as an option
                 return None
             given[flag] = option.get("type", str)(word)
             if given[flag] not in option.get("choices", (given[flag],)):
@@ -195,7 +187,7 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
         return None
     if not all(flag in given for flag, option in options.items() if option.get("required")):
         return None
-    return SimpleNamespace(command=argv[0], run=run, **{
+    return SimpleNamespace(command=argv[0], **{
         option.get("dest", flag[2:].replace("-", "_")): given.get(flag, option.get("default"))
         for flag, option in options.items()})
 
@@ -207,9 +199,11 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
-            return exc.code  # argparse exits with an int: 0 after --help, else EXIT_USAGE
+            # argparse exits 0 after --help and 2 on bad arguments; the contract
+            # reserves 2 for data errors and 1 for usage errors
+            return exc.code and EXIT_USAGE
     try:
-        text = args.run(args)
+        text = _COMMANDS[args.command][1](args)
         if args.command == "analyze":  # the one subcommand without --output prints its text
             sys.stdout.write(text)
         else:  # opened only now, so a run that raises writes no file

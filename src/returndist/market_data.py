@@ -344,7 +344,9 @@ def _read_returns(
     with open(path, "rb") as fh:
         pieces = _decoded_pieces(fh, path)
         if returns_only:
-            return parse_return_lines("".join(pieces)), []
+            # the BOM leaves the first block before the join: U+FEFF would make the
+            # joined text 2 bytes per character
+            return parse_return_lines("".join(_line_blocks(pieces))), []
         try:
             dates, (column,), warnings = _parse_columns(_line_blocks(pieces), (price_column,))
         except DataFormatError:

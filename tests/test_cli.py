@@ -612,10 +612,11 @@ _BAD_VALUES = ("-1", "-0.5", "nan", "inf", "-inf", "1e999", "x", "", "a=b", "--"
 
 def _argv_corpus() -> tuple[list[list[str]], list[list[str]]]:
     """Command lines the fast path must take (every subcommand's options in
-    every order), and variants of them that it may decline: each option
-    missing, repeated, abbreviated, as --flag=value, without its value or
-    with a negative, non-finite, non-numeric or empty one; a stray word,
-    "--", -h and --help at each end; and no subcommand at all."""
+    every order, and each path given as "a=b"), and variants of them that it
+    may decline: each option missing, repeated, abbreviated, as --flag=value,
+    without its value or with a negative, non-finite, non-numeric or empty
+    one; a stray word, "--", -h and --help at each end; and no subcommand at
+    all."""
     taken, variants = [], [[], ["-h"], ["--help"], ["bogus"], ["--input", "r.txt"]]
     for command, groups in _ARGV_BASES:
         taken += ([command, *chain(*order)] for order in permutations(groups))
@@ -625,7 +626,10 @@ def _argv_corpus() -> tuple[list[list[str]], list[list[str]]]:
                          [command, *rest, flag[:-1], *value], [command, *rest, flag]]
             if value:
                 variants.append([command, *rest, f"{flag}={value[0]}"])
-                variants += ([command, flag, bad, *rest] for bad in _BAD_VALUES)
+                for bad in _BAD_VALUES:
+                    # argparse reads a path that holds "=" as the value, as the fast path does
+                    path = bad == "a=b" and flag in ("--input", "--output")
+                    (taken if path else variants).append([command, flag, bad, *rest])
             else:
                 variants.append([command, flag, "x", *rest])
         argv = list(chain(*groups))
@@ -751,9 +755,16 @@ def test_subcommand_loads_only_the_modules_it_uses(command, c_layers, tmp_path, 
 
 
 @pytest.mark.parametrize("command, code", [("--help", 0), ("analyze --inptu x", 1)])
-def test_help_and_usage_errors_load_argparse(command, code):
+def test_help_and_usage_errors_load_argparse(command, code, capsys):
     child = f"import sys; from returndist.cli import main; assert main(sys.argv[1:]) == {code}"
     assert "argparse" in _child_modules(child, *command.split())
+    # argparse itself exits 2 on bad arguments; main returns 1 for them, with the same output
+    with pytest.raises(SystemExit) as parsed:
+        build_parser().parse_args(command.split())
+    assert parsed.value.code == (2 if code else 0)
+    output = capsys.readouterr()
+    assert main(command.split()) == code
+    assert capsys.readouterr() == output
 
 
 @pytest.mark.parametrize(
@@ -943,3 +954,23 @@ def test_declined_load_peak_memory_bounded(tmp_path):
     header, _, rows = _big_csv().partition("\n")
     day, _, rest = rows.partition(",")
     assert _load_peak_ratio(f'{header}\n"{day}",{rest}', tmp_path) < 2.5
+
+
+def test_bom_led_returns_load_in_the_same_peak(tmp_path):
+    # U+FEFF is outside Latin-1: joined with the returns, it made the whole
+    # text 2 bytes per character
+    text = returns_to_lines(sample_laplace(100_000, LaplaceParams(0.0, 0.006), 5))
+    path = tmp_path / "r.txt"
+    args = _fast_args(["analyze", "--input", str(path), "--returns-only"])
+    peaks = []
+    for lead in ("", "\ufeff"):
+        path.write_text(lead + text, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            _, values, _ = _load_returns(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(values) == 100_000
+        peaks.append(peak)
+    assert peaks[1] <= 1.02 * peaks[0]
