@@ -4,12 +4,12 @@ Exit codes: 0 success, 1 usage error, 2 data/format error,
 3 computation error (degenerate sample, draws that overflow, out of memory)
 or any other failure.
 
-A command line of options spelt in full, each given once with its value
-after it, is read from the option table ``_COMMANDS`` without argparse;
-argparse, loaded only then, parses any other (help, abbreviations,
-``--flag=value``, values led by ``-``) and reports every usage error. So
-of the stdlib beyond the package's own imports, a successful run loads
-only ``_json``, ``_csv`` and ``_datetime``, each where it is used.
+A command line of options spelt in full, each with its value after it, is
+read from the option table ``_COMMANDS`` without argparse; argparse, loaded
+only then, parses any other (help, abbreviations, ``--flag=value``, a path
+or choice led by ``-``) and reports every usage error. So of the stdlib
+beyond the package's own imports, a successful run loads only ``_json``,
+``_csv`` and ``_datetime``, each where it is used.
 """
 
 from __future__ import annotations
@@ -161,22 +161,23 @@ def build_parser() -> argparse.ArgumentParser:
 def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
     """What build_parser().parse_args(argv) returns, read from _COMMANDS without
     argparse; or None, for argparse to parse or reject, unless each option is
-    spelt in full and given once, each value follows its flag, is not led by
-    "-", converts by the option's type and is one of its choices, and every
-    required option is given."""
+    spelt in full, each value follows its flag, converts by the option's type
+    and is one of its choices, no path or choice is led by "-", and every
+    required option is given. A repeated option keeps its last value, as in
+    argparse. A number led by "-" is read as argparse reads "--mu=-1e-3",
+    where argparse itself reads "--mu -1e-3" as two options."""
     try:
         options = _COMMANDS[argv[0]][2]
         given = {}
         words = iter(argv[1:])
         for flag in words:
             option = options[flag]
-            if flag in given:
-                return None
             if "action" in option:  # store_true: takes no value
                 given[flag] = True
                 continue
             word = next(words)
-            if word.startswith("-"):  # argparse reads "-1" as a value but "-inf" as an option
+            # a path or choice led by "-" goes to argparse, which may read it as an option
+            if word.startswith("-") and "type" not in option:
                 return None
             given[flag] = option.get("type", str)(word)
             if given[flag] not in option.get("choices", (given[flag],)):

@@ -198,11 +198,10 @@ def _parse_block(
         return None
     null_lines = []
     # a line with a null cell holds an "n", which find locates by memchr, far
-    # faster than "null"; each "n" found lies in the first line from lines[i]
-    # on with its line's text: an equal line before it would hold an "n" found earlier
+    # faster than "null"; the newlines between lines[i] and it give its line
     while (hit := block.find("n", end)) >= 0:
-        end = block.find("\n", hit) + 1 or len(block) + 1
-        i = lines.index(block[block.rfind("\n", 0, hit) + 1 : end - 1], i)
+        i += block.count("\n", end, hit)
+        end = block.find("\n", hit) + 1 or len(block)
         row = lines[i].split(",")
         if any(cell.strip() == "null" for cell in row[1:]):
             if len(row) != len(OHLCV_HEADER):

@@ -1,7 +1,8 @@
 """Run ``python -m returndist ARGS...`` in a child and bound its peak RSS.
 
-Run from the repository root:
-``PYTHONPATH=src python tests/peak_rss.py LIMIT_MB ARGS...``
+Run with the repository's ``src`` on ``PYTHONPATH``, from the directory
+the command's files should go to:
+``PYTHONPATH=REPO/src python REPO/tests/peak_rss.py LIMIT_MB ARGS...``
 
 The child inherits stdin, stdout and stderr, so a redirect of this
 script's stdout catches the command's output. The child's own peak

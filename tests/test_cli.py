@@ -18,7 +18,7 @@ import pytest
 
 import returndist
 from returndist import market_data
-from returndist.cli import _fast_args, _load_returns, build_parser, main
+from returndist.cli import _COMMANDS, _fast_args, _load_returns, build_parser, main
 from returndist.distfit import LaplaceParams, Xoshiro256PlusPlus, sample_laplace
 from returndist.market_data import OHLCV_HEADER, returns_to_lines, simple_returns
 
@@ -184,6 +184,21 @@ class TestSample:
         main(argv + [str(a)])
         main(argv + [str(b)])
         assert a.read_text() == b.read_text()
+
+    def test_fitted_mean_goes_back_into_mu(self, tmp_path, monkeypatch, capsys):
+        # the paper's loop, fit then draw: a fitted mean below zero prints as
+        # "-8.7...e-05", which argparse alone reads as an option, not a value
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", "--dist", "laplace", "--n", "1879", "--seed", "2",
+                     "--lambda", "0.006", "--output", "laplace.txt"]) == 0
+        assert main(["analyze", "--input", "laplace.txt", "--returns-only"]) == 0
+        mu = repr(json.loads(capsys.readouterr().out)["normal_fit"]["mean"])
+        assert mu.startswith("-") and "e" in mu
+        argv = ["sample", "--dist", "normal", "--n", "1879", "--seed", "9", "--sigma", "0.0085"]
+        assert main([*argv, "--mu", mu, "--output", "spaced.txt"]) == 0
+        assert main([*argv, f"--mu={mu}", "--output", "joined.txt"]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert (tmp_path / "spaced.txt").read_bytes() == (tmp_path / "joined.txt").read_bytes()
 
     def test_usage_errors(self, tmp_path, capsys):
         out = str(tmp_path / "x.txt")
@@ -607,35 +622,57 @@ _ARGV_BASES = [
               ["--output", "out"]]),
     ("hist", [["--input", "r.txt"], ["--returns-only"], ["--bins", "7"], ["--output", "out"]]),
 ]
-_BAD_VALUES = ("-1", "-0.5", "nan", "inf", "-inf", "1e999", "x", "", "a=b", "--", "-h", "--help")
+_BAD_VALUES = ("-1", "-0.5", "-1e-3", "-1.", "-8.740042558696204e-05", "nan", "inf", "-inf",
+               "1e999", "x", "", "a=b", "--", "-h", "--help")
 
 
-def _argv_corpus() -> tuple[list[list[str]], list[list[str]]]:
-    """Command lines the fast path must take (every subcommand's options in
-    every order, and each path given as "a=b"), and variants of them that it
-    may decline: each option missing, repeated, abbreviated, as --flag=value,
-    without its value or with a negative, non-finite, non-numeric or empty
-    one; a stray word, "--", -h and --help at each end; and no subcommand at
-    all."""
-    taken, variants = [], [[], ["-h"], ["--help"], ["bogus"], ["--input", "r.txt"]]
+def _argv_corpus() -> tuple[list[list[str]], list[list[str]], list[list[str]]]:
+    """Command lines the fast path must take: every subcommand's options in
+    every order; then each option repeated, each path given as "a=b", and each
+    number given every value of _BAD_VALUES that its type converts, "-1e-3"
+    among them. Then variants of them that it may decline: each option
+    missing, abbreviated, as --flag=value, without its value or with any other
+    value of _BAD_VALUES; a stray word, "--", -h and --help at each end; and
+    no subcommand at all."""
+    orders, taken, variants = [], [], [[], ["-h"], ["--help"], ["bogus"], ["--input", "r.txt"]]
     for command, groups in _ARGV_BASES:
-        taken += ([command, *chain(*order)] for order in permutations(groups))
+        orders += ([command, *chain(*order)] for order in permutations(groups))
         for i, (flag, *value) in enumerate(groups):
             rest = list(chain(*groups[:i], *groups[i + 1:]))
-            variants += [[command, *rest], [command, *rest, flag, *value, flag, *value],
-                         [command, *rest, flag[:-1], *value], [command, *rest, flag]]
+            # argparse keeps the last value of a repeated option, as the fast path does
+            taken.append([command, *rest, flag, *value, flag, *value])
+            variants += [[command, *rest], [command, *rest, flag[:-1], *value], [command, *rest, flag]]
             if value:
                 variants.append([command, *rest, f"{flag}={value[0]}"])
+                convert = _COMMANDS[command][2][flag].get("type")
                 for bad in _BAD_VALUES:
                     # argparse reads a path that holds "=" as the value, as the fast path does
                     path = bad == "a=b" and flag in ("--input", "--output")
-                    (taken if path else variants).append([command, flag, bad, *rest])
+                    number = convert is not None and _converts(convert, bad)
+                    (taken if path or number else variants).append([command, flag, bad, *rest])
             else:
                 variants.append([command, flag, "x", *rest])
         argv = list(chain(*groups))
         for word in ("x", "--", "-h", "--help", "--bogus"):
             variants += [[command, word, *argv], [command, *argv, word]]
-    return taken, variants
+    return orders, taken, variants
+
+
+def _converts(convert, word: str) -> bool:
+    try:
+        convert(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _equals_spelling(argv: list[str]) -> list[str]:
+    """A command line the fast path takes, with each value joined to its flag:
+    argparse reads "--mu -1e-3" as two options but "--mu=-1e-3" as a value."""
+    options = _COMMANDS[argv[0]][2]
+    words = iter(argv[1:])
+    return [argv[0], *(flag if "action" in options[flag] else f"{flag}={next(words)}"
+                       for flag in words)]
 
 
 def _namespace_view(args) -> str:
@@ -643,23 +680,33 @@ def _namespace_view(args) -> str:
     return repr(sorted(vars(args).items()))
 
 
+def _argparse_view(parser, argv: list[str]) -> str | None:
+    """argparse's namespace for argv as _namespace_view gives it, or None
+    where argparse exits."""
+    try:
+        return _namespace_view(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
 def test_fast_args_decline_or_equal_argparse(capsys):
     parser = build_parser()
-    taken, variants = _argv_corpus()
-    declined = 0
-    for argv in taken + variants:
+    orders, taken, variants = _argv_corpus()
+    declined = respelt = 0
+    for argv in orders + taken + variants:
         fast = _fast_args(argv)
-        try:
-            slow = _namespace_view(parser.parse_args(argv))
-        except SystemExit:
-            slow = None
-        capsys.readouterr()
+        slow = _argparse_view(parser, argv)
         if fast is None:
-            assert argv not in taken, argv
+            assert argv not in orders + taken, argv
             declined += 1
         else:
+            if slow is None:  # a number led by "-": what argparse reads from its = spelling
+                slow = _argparse_view(parser, _equals_spelling(argv))
+                respelt += 1
             assert _namespace_view(fast) == slow, argv
+        capsys.readouterr()
     assert 0 < declined < len(variants)
+    assert respelt > 0
 
 
 def test_main_same_without_fast_path(tmp_path, monkeypatch, capsys):
@@ -678,10 +725,16 @@ def test_main_same_without_fast_path(tmp_path, monkeypatch, capsys):
             (tmp_path / name).unlink()
         return code, *capsys.readouterr(), written
 
-    taken, variants = _argv_corpus()
+    parser = build_parser()
+    orders, taken, variants = _argv_corpus()
     # the orders of one subcommand all parse alike: a few of them stand for the rest
-    for argv in taken[::23] + variants:
-        assert run(argv, _fast_args) == run(argv, lambda argv: None), argv
+    for argv in orders[::23] + taken + variants:
+        # a line that argparse rejects but the fast path takes runs as its = spelling
+        # runs under argparse
+        respelt = _fast_args(argv) is not None and _argparse_view(parser, argv) is None
+        capsys.readouterr()
+        slow = run(_equals_spelling(argv) if respelt else argv, lambda argv: None)
+        assert run(argv, _fast_args) == slow, argv
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
