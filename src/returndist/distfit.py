@@ -120,8 +120,7 @@ def _laplace_quantiles(qs: Iterable[float], p: LaplaceParams) -> list[float]:
     log = math.log
     return [
         mu + scale * log(2.0 * q) if q < 0.5
-        else mu - scale * log(2.0 * (1.0 - q)) if q > 0.5
-        else mu
+        else mu - scale * log(2.0 * (1.0 - q))
         for q in qs
     ]
 

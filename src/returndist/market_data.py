@@ -82,7 +82,8 @@ def _parse_rows(
     Reads the blocks from line ``lineno`` to the end, appending each row to
     ``dates`` and ``kept`` (a list per column it names) and each null row's
     line to ``null_lines``. Those hold the rows before that line; a date
-    repeated among them is the first error raised."""
+    repeated among them is the first error raised. At line 1 it is handed
+    the header line alone, and the header is checked here only."""
     # imported here and in _parse_block: only an OHLCV read pays for _csv and _datetime;
     # their Python layers csv.py (which loads re) and datetime.py add nothing used here
     import _csv
@@ -171,8 +172,8 @@ def _parse_block(
 ) -> tuple[list[date], dict[str, list], list[int], int] | None:
     """One block's dates, columns named in ``keep`` and null-row lines, and the
     line number after it; or None where ``_parse_columns`` hands the block to
-    the row parser. A block at line 1 starts with the header, its BOM
-    already dropped by ``_line_blocks``. In a plain block (``_PLAIN_CHARS``)
+    the row parser. The block starts at line ``lineno``, after the header
+    line, so every line of it is a data row. In a plain block (``_PLAIN_CHARS``)
     a column not in ``keep`` is checked as text: a price column passes when
     no cell is only zeros and dots, the volume when no cell is empty. Any
     other column, and every column of a block that is not plain, is
@@ -189,11 +190,6 @@ def _parse_block(
     if longest > _csv.field_size_limit():
         return None
     i = end = 0  # the index of the line after the last hit's, and where it starts
-    if lineno == 1:
-        header = lines.pop(0)
-        if tuple(col.strip() for col in header.split(",")) != OHLCV_HEADER:
-            return None
-        lineno, end = 2, len(header) + 1
     if "" in lines:  # a blank line, which the row parser skips
         return None
     null_lines = []
@@ -210,7 +206,7 @@ def _parse_block(
             lines[i] = ""
         i += 1
     text = "\n".join(filter(None, lines))
-    if not text:  # no priced line: the header alone, or only null rows
+    if not text:  # only null rows
         return [], {}, null_lines, lineno + len(lines)
     # the newlines stay in the signature: without them a 7-comma line ending
     # in a date and a 5-comma line after it would realign to two plain lines
@@ -269,21 +265,29 @@ def _parse_columns(
     """The dates, the columns named in ``keep`` and the warnings of an OHLCV
     text given as ``_line_blocks``, in ascending date order.
 
-    Each block is checked and converted whole, then dropped, so only one
-    block's lines and cells are alive at a time; of the converted cells only
-    the dates and the kept columns stay. Every cell is checked, kept or not:
-    a dropped column as text in a plain block (``_PLAIN_CHARS``), every
-    column converted in any other.
-    From the first block ``_parse_block`` declines (quotes, CR or NUL, a bad
-    header, a blank line, a line without seven fields or over the csv field limit, a bad
-    cell), ``_parse_rows`` reads row by row to the end, appending to the same
-    lists. The result and every error equal those of ``_parse_rows`` over the
-    whole text.
+    The first line, the header, is split off the first block and read by
+    ``_parse_rows`` alone, so quoting in it changes nothing after it. The
+    rest of the text goes to the column pass a block at a time: each block
+    is checked and converted whole, then dropped, so only one block's lines
+    and cells are alive at a time; of the converted cells only the dates
+    and the kept columns stay. Every cell is checked, kept or not: a dropped
+    column as text in a plain block (``_PLAIN_CHARS``), every column
+    converted in any other.
+    From the first block ``_parse_block`` declines (quotes, CR or NUL, a
+    blank line, a line without seven fields or over the csv field limit, a
+    bad cell), ``_parse_rows`` reads row by row to the end, appending to the
+    same lists. The result and every error equal those of ``_parse_rows``
+    over the whole text, but for a header whose quoted field holds a
+    newline: the header is one line, so that field ends at the newline.
     """
     dates: list[date] = []
     kept: dict[str, list] = {name: [] for name in keep}
     null_lines: list[int] = []
-    lineno = 1
+    if (block := next(blocks, None)) is None:
+        raise DataFormatError("missing CSV header")
+    cut = block.find("\n") + 1 or len(block)
+    _parse_rows((block[:cut],), 1, dates, kept, null_lines)  # the header line only
+    blocks, lineno = filter(None, chain((block[cut:],), blocks)), 2
     for block in blocks:
         parsed = _parse_block(block, lineno, keep)
         if parsed is None:  # the row parser reads this block and every block after it
@@ -294,9 +298,6 @@ def _parse_columns(
         for name, values in block_kept.items():
             kept[name] += values
         null_lines += block_nulls
-    else:  # the column pass read every block: the header, unless there was no block
-        if lineno == 1:
-            raise DataFormatError("missing CSV header")
     if not dates and not null_lines:
         raise EmptyInputError("CSV contains no data rows")
     columns = list(kept.values())
@@ -345,7 +346,7 @@ def _read_returns(
         if returns_only:
             # the BOM leaves the first block before the join: U+FEFF would make the
             # joined text 2 bytes per character
-            return parse_return_lines("".join(_line_blocks(pieces))), []
+            return _return_values("".join(_line_blocks(pieces))), []
         try:
             dates, (column,), warnings = _parse_columns(_line_blocks(pieces), (price_column,))
         except DataFormatError:
@@ -363,10 +364,11 @@ def parse_ohlcv_csv(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
     returned warnings list. Raises DataFormatError for a bad header,
     malformed CSV, unparsable fields, non-positive prices, or duplicate
     dates, and EmptyInputError when there are no data rows at all.
-    The text is cut into ``_CHUNK_CHARS``-character slices, each cut back
-    to its last newline, and plain LF lines are converted a column at a
-    time; from the first slice with anything else (quotes, blank lines) or
-    a bad cell, the csv module reads row by row, with the same results.
+    The header line is read by the csv module. The rest of the text is cut
+    into ``_CHUNK_CHARS``-character slices, each cut back to its last
+    newline, and plain LF lines are converted a column at a time; from the
+    first slice with anything else (quotes, blank lines) or a bad cell, the
+    csv module reads row by row, with the same results.
     Every column is kept, so every cell is converted; a parse that drops
     columns checks them as text in a plain block instead.
     """
@@ -412,13 +414,20 @@ def simple_returns(prices: PriceSeries, field: str = "adj_close") -> ReturnSerie
 
 def parse_return_lines(text: str) -> list[float]:
     """Parse the one-return-per-line format written by the sample command,
-    less one leading BOM.
+    less one leading BOM. Lines end at LF only, as in an OHLCV file, so
+    errors name physical lines: a CR, form feed or U+2028 is whitespace
+    around a return or, inside one, part of an unparsable line."""
+    return _return_values(text.removeprefix("\ufeff"))
+
+
+def _return_values(text: str) -> list[float]:
+    """The returns of a returns file's text, its BOM already dropped.
 
     The lines are converted a whole file at a time up to the first blank,
     unparsable or non-finite one, and the line loop, which gives every
     error, carries on from that line: no line before it is converted twice.
     """
-    lines = text.removeprefix("\ufeff").splitlines()
+    lines = text.removesuffix("\n").split("\n")
     values: list[float] = []
     try:
         # float() strips the same whitespace as str.strip(), so a line it takes

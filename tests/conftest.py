@@ -45,21 +45,33 @@ def ohlcv_csv_from_returns(returns: list[float], start: float = 100.0) -> str:
 
 def parse_rows_only(text: str, symbol: str) -> tuple[PriceSeries, list[str]]:
     """The reference parse: ``parse_ohlcv_csv`` with the column pass declining
-    every block, so the csv-module row parser reads the whole text from line 1."""
+    every block, so the csv-module row parser reads the header line, then
+    the rest of the text from line 2."""
     with mock.patch.object(market_data, "_parse_block", lambda *args: None):
         return parse_ohlcv_csv(text, symbol)
 
 
 @contextlib.contextmanager
 def row_parser_calls() -> Iterator[list[tuple[int, str]]]:
-    """Each call of the row parser made within the block, as the line it
-    starts at and the text of the blocks handed to it."""
+    """Each call of the row parser made within the block after the header's,
+    as the line it starts at and the text of the blocks handed to it. The
+    header's call is checked, not listed: it comes first, at line 1, and
+    reads one line, so an empty list means the row parser read the header
+    line and nothing else."""
     calls: list[tuple[int, str]] = []
+    headers: list[str] = []
     parse_rows = market_data._parse_rows
 
     def spy(blocks, lineno, *rest):
         blocks = list(blocks)
-        calls.append((lineno, "".join(blocks)))
+        text = "".join(blocks)
+        if lineno == 1:
+            assert not headers and not calls
+            assert "\n" not in text[:-1]
+            headers.append(text)
+        else:
+            assert len(headers) == 1
+            calls.append((lineno, text))
         return parse_rows(iter(blocks), lineno, *rest)
 
     with mock.patch.object(market_data, "_parse_rows", spy):

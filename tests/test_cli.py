@@ -165,6 +165,23 @@ class TestAnalyze:
         path.write_text("0.01\n" * 50, encoding="utf-8")
         assert main(["analyze", "--input", str(path), "--returns-only"]) == 3
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ("\ufeff\ufeff0.01\n0.02\n-0.01\n0.03\n0.005\n".encode(),
+             "line 1: unparsable return '\\ufeff0.01'"),
+            (b"0.01\n0.02\x0c\n-0.01\nbad\n", "line 4: unparsable return 'bad'"),
+            ("0.01\n0.02\u2028\n-0.01\nbad\n".encode(), "line 4: unparsable return 'bad'"),
+        ],
+        ids=["two-boms", "form-feed", "line-separator"],
+    )
+    def test_returns_file_errors(self, data, message, tmp_path, capsys):
+        # one BOM is dropped, and only LF ends a line
+        path = tmp_path / "r.txt"
+        path.write_bytes(data)
+        assert main(["analyze", "--input", str(path), "--returns-only"]) == 2
+        assert capsys.readouterr().err == f"returndist: error: {message}\n"
+
     def test_unknown_flag_exit_1(self, laplace_csv, capsys):
         assert main(["analyze", "--input", str(laplace_csv), "--bogus"]) == 1
 

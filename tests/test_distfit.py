@@ -180,6 +180,13 @@ class TestLaplaceFunctions:
         assert laplace_quantile(0.5, STD_LAPLACE) == 0.0
         assert laplace_quantile(0.75, STD_LAPLACE) == pytest.approx(math.log(2.0))
 
+    @pytest.mark.parametrize("mu", [0.0, -0.0, 1.5, -2.25e-300])
+    def test_median_is_mu(self, mu):
+        # the sampler's uniform for the word with w >> 11 == 2**52 is exactly 0.5
+        assert ((1 << 52) + 0.5) * 2.0**-53 == 0.5
+        value = laplace_quantile(0.5, LaplaceParams(mu=mu, scale=2.1))
+        assert value == mu and math.copysign(1.0, value) == math.copysign(1.0, mu)
+
     def test_quantile_domain(self):
         # the kernel gives no number outside (0, 1): log of a level <= 0 raises
         for q in (0.0, 1.0, -0.1, 1.1):

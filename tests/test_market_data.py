@@ -91,6 +91,13 @@ class TestParse:
         with pytest.raises(DataFormatError):
             parse_ohlcv_csv("Date,Open,Close\n2012-01-03,1,2\n", "X")
 
+    @pytest.mark.parametrize("field, named", [('"Date\n"', "Date\n"), ('"Da\nte"', "Da\n")])
+    def test_header_is_one_line(self, field, named):
+        # a quoted header field does not run on past the header's newline
+        text = make_csv("2012-01-03,100,101,99,100.5,100.5,1000").replace("Date", field, 1)
+        with pytest.raises(DataFormatError, match=f"^unknown header {re.escape(repr(named))};"):
+            parse_ohlcv_csv(text, "X")
+
     def test_empty_text(self):
         with pytest.raises(DataFormatError):
             parse_ohlcv_csv("", "X")
@@ -190,9 +197,10 @@ def _assert_kept_column_agrees(text: str, calls: list[tuple[int, str]]) -> None:
 
 
 def _assert_paths_agree(text: str, columnar: bool) -> None:
-    """parse_ohlcv_csv equals the row-wise reference, and the row parser ran
-    exactly when expected (the column pass declines, it never raises); so
-    does the parse that keeps one price column."""
+    """parse_ohlcv_csv equals the row-wise reference, and the row parser read
+    the header line and nothing else exactly when ``columnar`` (the column
+    pass declines, it never raises); so does the parse that keeps one price
+    column."""
     with row_parser_calls() as calls:
         outcome = _outcome(parse_ohlcv_csv, text)
     assert outcome == _outcome(parse_rows_only, text)
@@ -257,7 +265,7 @@ class TestColumnarPath:
             (make_csv(ROW_1, _with(ROW_2, 1, "nullx"), ROW_3), False),
             (make_csv(ROW_1, _with(ROW_2, 0, "null"), ROW_3), False),
             (make_csv(ROW_1, _with(ROW_2, 0, "2012-01-04null"), _with(ROW_3, 3, "null")), False),
-            ("\ufeff" + make_csv(ROW_1, ROW_2).replace("Date", '"Date"', 1), False),
+            ("\ufeff" + make_csv(ROW_1, ROW_2).replace("Date", '"Date"', 1), True),
         ],
         ids=[
             "crlf", "quoted-field", "blank-lines", "whitespace-row", "spaced-date", "nul",
@@ -301,10 +309,10 @@ class TestColumnarPath:
         [
             ("", True),
             ("\ufeff", True),
-            ("\ufeff\ufeff" + make_csv(ROW_1, ROW_2), False),
+            ("\ufeff\ufeff" + make_csv(ROW_1, ROW_2), True),
             (HEADER + "\n", True),
             (HEADER, True),
-            ("Date,Open,Close\n2012-01-03,1,2\n", False),
+            ("Date,Open,Close\n2012-01-03,1,2\n", True),
             (make_csv(ROW_1, ROW_1), True),
             (make_csv(ROW_2, ROW_1, ROW_3, ROW_1), True),
             (make_csv(ROW_1, ROW_2 + ",5"), False),
@@ -322,7 +330,9 @@ class TestColumnarPath:
             (make_csv(ROW_1, _with(ROW_2, 6, "9" * 140_000)), False),
             (make_csv(ROW_1, _with(ROW_2, 0, "2012-01-0\udcff")), False),
             (HEADER.replace(",", "," + " " * 140_000, 1) + "\n" + ROW_1 + "\n" + ROW_2 + "\n",
-             False),
+             True),
+            (make_csv(ROW_1, ROW_2).replace("Date", '"Date\n"', 1), True),
+            (make_csv(ROW_1, ROW_2).replace("Date", '"Da\nte"', 1), True),
         ],
         ids=[
             "empty", "bom-only", "two-boms", "header-only", "header-no-newline", "bad-header", "duplicate-date",
@@ -330,6 +340,7 @@ class TestColumnarPath:
             "null-row-five-commas", "bad-date", "bad-price",
             "float-volume", "negative-volume", "nan-price", "inf-price", "negative-zero-price",
             "zero-price", "field-over-csv-limit", "surrogate", "header-field-over-csv-limit",
+            "newline-ending-quoted-header-field", "newline-inside-quoted-header-field",
         ],
     )
     def test_errors_come_from_row_parser(self, text, columnar):
@@ -430,10 +441,10 @@ class TestColumnarPath:
         for keep in (("adj_close",), market_data._COLUMNS):
             with row_parser_calls() as calls, pytest.raises(DataFormatError, match=message):
                 market_data._parse_columns(iter(blocks), keep)
-            assert calls == [(1, text)]
+            assert calls == [(2, text.partition("\n")[2])]
         with row_parser_calls() as calls, pytest.raises(DataFormatError, match=message):
             parse_ohlcv_csv(text, "X")
-        assert calls == [(1, text)]
+        assert calls == [(2, text.partition("\n")[2])]
 
     @pytest.mark.parametrize("chunk_chars", [1 << 20, 40])
     def test_mutations_match_row_parser(self, monkeypatch, chunk_chars):
@@ -503,9 +514,12 @@ class TestColumnarPath:
         with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             parse_ohlcv_csv(text, "X")
 
-    @pytest.mark.parametrize("edit", ["bad-last-volume", "late-quoted-cell"])
+    @pytest.mark.parametrize(
+        "edit", ["bad-last-volume", "late-quoted-cell", "quoted-header-late-quoted-cell"]
+    )
     def test_row_parser_starts_at_declined_block(self, monkeypatch, edit):
-        # the blocks before it are parsed once, by the column pass only
+        # the blocks before it are parsed once, by the column pass only; a
+        # quoted header is read with the header line and declines no block
         monkeypatch.setattr(market_data, "_CHUNK_CHARS", 300)
         lines = ohlcv_csv_from_returns([0.001] * 60).splitlines()
         k = len(lines) - 1 if edit == "bad-last-volume" else len(lines) - 5
@@ -513,6 +527,8 @@ class TestColumnarPath:
             lines[k] = _with(lines[k], 6, "-1")
         else:
             lines[k] = _with(lines[k], 5, '"' + lines[k].split(",")[5] + '"')
+        if edit == "quoted-header-late-quoted-cell":
+            lines[0] = lines[0].replace("Date", '"Date"')
         text = "\n".join(lines) + "\n"
         blocks = list(market_data._line_blocks(text[i : i + 300] for i in range(0, len(text), 300)))
         starts = list(accumulate((block.count("\n") for block in blocks), initial=1))
@@ -627,11 +643,11 @@ class TestSimpleReturns:
 
 
 def _return_lines_per_line(text: str):
-    """The return-file parser one line at a time, less one leading BOM, as a
-    value list or the (type, message) it raises: the reference for
-    parse_return_lines."""
+    """The return-file parser one line at a time, lines ending at LF only,
+    less one leading BOM, as a value list or the (type, message) it raises:
+    the reference for parse_return_lines."""
     values = []
-    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -660,7 +676,9 @@ class TestReturnLines:
             "\n0.01\n",
             "0.01\r\n-0.02\r\n",
             "0.01\r-0.02\r\n\r\n",
+            "0.01\x0b\n-0.02\x0c\n0.03\u2028\n-0.04\x85\n",
             "0.01\x0b-0.02\x0c0.03\u2028-0.04\n",
+            "0.01\n0.02\x0c\n-0.01\u2029\x1c\nbad\n",
             "0.01\x0b\x0c\n",
             "  0.01\t\n\t-0.02  \n",
             "\xa00.01\u3000\n",
@@ -743,6 +761,15 @@ class TestReturnLines:
     def test_unparsable_line(self):
         with pytest.raises(DataFormatError, match="line 2"):
             parse_return_lines("0.01\nbogus\n")
+
+    @pytest.mark.parametrize("brk", ["\x0c", "\x85", "\u2028", "\r"])
+    def test_errors_name_physical_lines(self, brk):
+        # only LF ends a line: a break that str.splitlines also takes is whitespace
+        with pytest.raises(DataFormatError, match="^line 4: unparsable return 'bad'$"):
+            parse_return_lines(f"0.01\n0.02{brk}\n-0.01\nbad\n")
+        message = f"line 2: unparsable return {f'0.02{brk}0.03'!r}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            parse_return_lines(f"0.01\n0.02{brk}0.03\n")
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataFormatError):
