@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Sequence
 from types import SimpleNamespace
 
 from .distfit import LaplaceParams, NormalParams, sample_laplace, sample_normal

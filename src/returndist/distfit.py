@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from ._record import Record
 from .errors import DegenerateFitError, DegenerateSampleError, DomainError, InsufficientDataError
-from .moments import _Centred, _centred
+from .moments import _centred
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from collections.abc import Callable, Sequence
 from itertools import islice
 
 from ._record import Record
@@ -35,7 +34,7 @@ from .distfit import (
     _unscaled,
 )
 from .errors import DomainError, InsufficientDataError
-from .moments import _Centred, _centred
+from .moments import _centred
 
 MODEL_PARAMETER_COUNT = 2  # location + scale, both families
 

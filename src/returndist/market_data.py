@@ -7,7 +7,6 @@ import codecs
 import io
 import math
 import operator
-from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
 
 from ._record import Record

@@ -10,7 +10,6 @@ expectation for normal data.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from itertools import repeat
 
 from ._record import Record
@@ -76,12 +75,12 @@ def _centred(sample: Sequence[float], min_n: int, what: str) -> _Centred:
     return _Centred(sample, n, mean, deviations, sum_squares, exponent)
 
 
-def _ldexp(x: float, exponent: int) -> float:
-    """x * 2^exponent, or +-inf where that overflows: math.ldexp raises there."""
+def _ldexp(x: float, exponent: int, limit: float = math.inf) -> float:
+    """x * 2^exponent, or +-limit where that overflows: math.ldexp raises there."""
     try:
         return math.ldexp(x, exponent)
     except OverflowError:
-        return math.copysign(math.inf, x)
+        return math.copysign(limit, x)
 
 
 def central_moment(sample: Sequence[float], k: int) -> float:

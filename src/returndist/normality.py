@@ -14,7 +14,6 @@ the result is still computed but flagged.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain
 from operator import mul, neg
@@ -22,7 +21,7 @@ from operator import mul, neg
 from ._record import Record
 from .distfit import _SQRT2, _lower_quantiles
 from .errors import DegenerateSampleError, InsufficientDataError
-from .moments import _Centred, _centred
+from .moments import _centred
 
 ROYSTON_MAX_VALIDATED_N = 5000
 

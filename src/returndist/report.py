@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator, Sequence
 from itertools import chain, compress, islice, repeat
 from operator import eq, sub, truediv
 
@@ -144,8 +143,7 @@ def render_report_markdown(report: AnalysisReport) -> str:
             rows.append((name, f"{value:.6g}"))
         else:  # a bare | in a cell would start a new column, and CR or LF a new line
             rows.append((name, _text(str(value), {"|": r"\|", "\n": "\ufffd", "\r": "\ufffd"})))
-    key_width = max(len(k) for k, _ in rows)
-    value_width = max(len(v) for _, v in rows)
+    key_width, value_width = (max(map(len, column)) for column in zip(*rows))
     lines = [f"| {k.ljust(key_width)} | {v.rjust(value_width)} |" for k, v in rows]
     lines.insert(1, f"|:{'-' * key_width}-|-{'-' * value_width}:|")
     return "\n".join(lines + [f"- warning: {w}" for w in warnings])
@@ -230,6 +228,7 @@ _PLOT_W = _SVG_WIDTH - _MARGIN_LEFT - 24  # less the right margin
 _PLOT_H = _SVG_HEIGHT - _MARGIN_TOP - 54  # less the bottom margin
 _X0, _Y0 = _MARGIN_LEFT, _MARGIN_TOP + _PLOT_H  # where the axes meet
 _AXIS = 'stroke="#444444"'
+_LARGEST = math.nextafter(math.inf, 0.0)  # the largest finite float
 _FONT = 'font-family="sans-serif"'
 
 _SERIES_STYLE = (
@@ -292,7 +291,8 @@ def render_ecdf_svg(columns: Sequence[Sequence[float]], symbol: str) -> str:
     """Standalone SVG: ECDF staircase plus both fitted CDF curves. Where max |x|
     is m * 2^e with e > 128, the pixels come from the values times 2^(128 - e),
     so no width or product overflows and a power-of-two scale moves no pixel;
-    the tick labels stay at the values' own scale (saturating, by ``_ldexp``)."""
+    the tick labels stay at the values' own scale, clamped to the largest finite
+    float, so a padded axis end past it reads as a number, not ``inf``."""
     lo, hi = min(columns[0]), max(columns[0])
     shift = max(0, math.frexp(max(-lo, hi))[1] - 128)
     xs = [math.ldexp(x, -shift) for x in columns[0]] if shift else columns[0]
@@ -304,7 +304,7 @@ def render_ecdf_svg(columns: Sequence[Sequence[float]], symbol: str) -> str:
         return [_MARGIN_LEFT + _PLOT_W * (x - lo) / (hi - lo) for x in values]
 
     x_ticks = [lo + (hi - lo) * k / 4.0 for k in range(5)]
-    ticks = [v for x, sx in zip(x_ticks, px(x_ticks)) for v in (sx, sx, sx, _ldexp(x, shift))]
+    ticks = [v for x, p in zip(x_ticks, px(x_ticks)) for v in (p, p, p, _ldexp(x, shift, _LARGEST))]
     title = _text(symbol, _XML_TEXT)
 
     def polylines() -> Iterator[str]:

@@ -471,18 +471,13 @@ def _polyline_points(root: ET.Element) -> list[str]:
 
 
 def _non_finite_numbers(root: ET.Element) -> list[str]:
-    """Each token of the SVG's attributes that reads as a float that is not
-    finite: a nan or inf coordinate."""
+    """Each token of the SVG's attributes and texts that spells a float that is
+    not finite as % formatting prints one: a nan or inf coordinate or tick
+    label. A rounded label past the largest float, 1.798e+308, is a number."""
     found = []
     for element in root.iter():
-        for value in element.attrib.values():
-            for token in re.split(r"[\s,()]+", value):
-                try:
-                    number = float(token)
-                except ValueError:
-                    continue
-                if not math.isfinite(number):
-                    found.append(token)
+        for value in (*element.attrib.values(), element.text or ""):
+            found += [t for t in re.split(r"[\s,()]+", value) if t.lstrip("+-") in ("inf", "nan")]
     return found
 
 
@@ -504,6 +499,16 @@ def test_extreme_scales_give_unit_scale_output(name, command, tmp_path, capsys):
     _assert_unit_scale_output(command, got, unit, k)
     if command == "ecdf":
         assert [float(row.partition(",")[0]) for row in got] == sorted(values)
+
+
+def test_tick_label_past_float64_max_is_clamped(tmp_path, capsys):
+    # the axis end, padded past the largest value, is past the largest float
+    values = [1e16, 1e16, 1e16, 1.7976931348623157e308]
+    code, err, root = _main_on("ecdf-svg", values, tmp_path, capsys)
+    assert code == 0, err
+    assert _non_finite_numbers(root) == []
+    labels = [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels[1:6] == ["-3.595e+306", "4.314e+307", "8.988e+307", "1.366e+308", "1.798e+308"]
 
 
 @pytest.mark.parametrize("exponent", (-600, -1000))
@@ -613,9 +618,78 @@ def test_fuzzed_input_never_escapes(tmp_path, capsys):
                     assert len(cells) == 4 and all(map(math.isfinite, cells)), (case, line)
 
 
+# extreme, subnormal and non-finite values, as one value repeated or its outlier
+_EXTREMES = (1.7976931348623157e308, -1e308, 1e-300, 5e-324, -2.2250738585072014e-308, 0.0, 0.01)
+# lines float reads as not finite, or past the float64 limits
+_RETURN_LINES = (b"nan", b"-nan", b"inf", b"-Infinity", b"1e999", b"-1e-999", b"")
+# a BOM, NUL, a sign, and bytes that are not UTF-8 (a stray byte, a cut pair, a surrogate)
+_RETURN_BYTES = (b"\xef\xbb\xbf", b"\x00", b"-", b"\xff", b"\xc3(", b"\xed\xa0\x80")
+
+
+def _fuzzed_returns(rng: Xoshiro256PlusPlus) -> bytes:
+    """1 to 40 Laplace returns, maybe all times one power of two or all one
+    extreme value but one outlier, maybe led by a BOM, then maybe one
+    insertion at a random byte: a line from _RETURN_LINES or a token from
+    _RETURN_BYTES."""
+    n = 1 + word(rng) % 40
+    values = sample_laplace(n, LaplaceParams(mu=0.0, scale=0.006), word(rng) % 1000)
+    op = word(rng) % 3
+    if op == 0:  # every |x| is below 1, so 2^1023 is the largest scale that stays finite
+        k = word(rng) % 2124 - 1100
+        values = [math.ldexp(x, k) for x in values]
+    elif op == 1:
+        values = [_EXTREMES[word(rng) % len(_EXTREMES)]] * n
+        values[word(rng) % n] = _EXTREMES[word(rng) % len(_EXTREMES)]
+    data = bytearray(returns_to_lines(values).encode())
+    if word(rng) % 4 == 0:
+        data[:0] = b"\xef\xbb\xbf"  # the one BOM a file may start with
+    for _ in range(word(rng) % 2):
+        at = word(rng) % (len(data) + 1)
+        if word(rng) % 2:
+            data[at:at] = b"\n" + _RETURN_LINES[word(rng) % len(_RETURN_LINES)] + b"\n"
+        else:
+            data[at:at] = _RETURN_BYTES[word(rng) % len(_RETURN_BYTES)]
+    return bytes(data)
+
+
+def test_fuzzed_returns_never_escape(tmp_path, capsys):
+    rng = Xoshiro256PlusPlus(1879)
+    path, out = tmp_path / "fuzz.txt", tmp_path / "out"
+    runs = (
+        ["analyze"],
+        ["analyze", "--format", "markdown"],
+        ["ecdf", "--output", str(out)],
+        ["ecdf", "--format", "svg", "--output", str(out)],
+        ["hist", "--output", str(out)],
+    )
+    for case in range(300):
+        data = _fuzzed_returns(rng)
+        path.write_bytes(data)
+        for run in runs:
+            out.unlink(missing_ok=True)
+            code = main([*run, "--input", str(path), "--returns-only"])
+            captured = capsys.readouterr()
+            assert code in (0, 2, 3), (case, run, data, captured.err)
+            if code != 0:
+                assert captured.err.startswith("returndist: error: "), (case, run, data)
+                assert captured.err.count("\n") == 1, (case, run, data, captured.err)
+                assert not out.exists(), (case, run, data)
+            elif run[-1] == "markdown":
+                assert not re.search(r"\b(inf|nan)\b", captured.out, re.I), (case, data)
+            elif run[0] == "ecdf" and "svg" in run:
+                assert _non_finite_numbers(ET.fromstring(out.read_bytes())) == [], (case, data)
+            elif run[0] == "ecdf":
+                for line in out.read_text().splitlines()[1:]:
+                    assert all(map(math.isfinite, map(float, line.split(",")))), (case, line)
+            else:
+                text = captured.out if run[0] == "analyze" else out.read_text()
+                json.loads(text, parse_constant=_reject_constant)
+
+
 def _child_modules(code: str, *args: str) -> set[str]:
-    """The top-level names in ``sys.modules`` that a ``python -S`` child running
-    ``code`` with ``args`` prints on the last line of its stderr."""
+    """The names in ``sys.modules``, a submodule's by its full dotted name, that
+    a ``python -S`` child running ``code`` with ``args`` prints on the last
+    line of its stderr."""
     src = Path(returndist.__file__).parent.parent
     proc = subprocess.run(
         [sys.executable, "-S", "-c", f"{code}; print(*sys.modules, file=sys.stderr)", *args],
@@ -624,7 +698,11 @@ def _child_modules(code: str, *args: str) -> set[str]:
         text=True,
         check=True,
     )
-    return {name.partition(".")[0] for name in proc.stderr.splitlines()[-1].split()}
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def _top_level(modules: set[str]) -> set[str]:
+    return {name.partition(".")[0] for name in modules}
 
 
 # for each subcommand, its options as flag and value, each in a form the fast path takes
@@ -789,12 +867,15 @@ _C_LAYERS = {"_json", "_csv", "_datetime"}
 
 def test_cli_imports_only_stdlib():
     for module in ("returndist", "returndist.cli"):
-        loaded = _child_modules(f"import sys, {module}")
+        modules = _child_modules(f"import sys, {module}")
+        loaded = _top_level(modules)
         assert loaded - sys.stdlib_module_names - {"returndist", "__main__"} == set()
         # the import budget: these cost more to load than the package itself, and
         # each path that needs a C layer imports it where it is used
         heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "pathlib"}
         assert loaded & (heavy | _PYTHON_LAYERS | _C_LAYERS) == set(), module
+        # the package names collections.abc's ABCs only in annotations, which stay text
+        assert "collections.abc" not in modules, module
 
 
 @pytest.mark.parametrize(
@@ -819,7 +900,9 @@ def test_subcommand_loads_only_the_modules_it_uses(command, c_layers, tmp_path, 
     (tmp_path / "r.txt").write_text(returns_to_lines(returns), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     code = "import sys; from returndist.cli import main; assert main(sys.argv[1:]) == 0"
-    loaded = _child_modules(code, *command.split())
+    modules = _child_modules(code, *command.split())
+    loaded = _top_level(modules)
+    assert "collections.abc" not in modules
     assert loaded & _PYTHON_LAYERS == set()
     assert loaded & _C_LAYERS == {f"_{name}" for name in c_layers.split()}
 

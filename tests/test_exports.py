@@ -1,4 +1,4 @@
-"""Tests for the package's export list."""
+"""Tests for the package's export list and its imports."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import pytest
 import returndist
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(returndist.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -53,3 +54,55 @@ def test_benchmark_layer_functions_bound():
         module = importlib.import_module(f"returndist.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"returndist.{layer}.{name}"
+
+
+def _imports_no_code_uses(source: str, reexports: bool) -> set[str]:
+    """The names that source imports and then reads nowhere, or, under
+    ``from __future__ import annotations`` (which keeps each annotation as
+    text that no code evaluates), only inside annotations: of arguments, of
+    returns and of annotated names. With reexports, the relative imports (a
+    package's public names) count as read."""
+    tree = ast.parse(source)
+    imported, annotations, postponed = set(), [], False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            postponed |= "annotations" in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import | ast.ImportFrom):
+            if not (reexports and isinstance(node, ast.ImportFrom) and node.level > 0):
+                imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.arg | ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            annotations.append(node.returns)
+    text = {id(n) for a in annotations if postponed and a is not None for n in ast.walk(a)}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and id(n) not in text}
+    return imported - read
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_import_serves_only_annotations(path):
+    source = path.read_text(encoding="utf-8")
+    assert _imports_no_code_uses(source, reexports=path.name == "__init__.py") == set()
+
+
+_ANNOTATED = (
+    "import math\n"
+    "from collections.abc import Sequence\n"
+    "from .moments import _Centred, _centred\n"
+    "from .errors import DomainError\n"
+    "class R:\n"
+    "    values: Sequence[float]\n"
+    "def f(c: _Centred, *rest: math.inf) -> DomainError:\n"
+    "    return _centred(c)\n"
+)
+
+
+def test_annotation_only_imports_are_found():
+    postponed = "from __future__ import annotations\n" + _ANNOTATED
+    assert _imports_no_code_uses(postponed, reexports=False) == {
+        "Sequence", "_Centred", "math", "DomainError"
+    }
+    assert _imports_no_code_uses(postponed, reexports=True) == {"Sequence", "math"}
+    # evaluated annotations read their names
+    assert _imports_no_code_uses(_ANNOTATED, reexports=False) == set()
+    assert _imports_no_code_uses("import os.path\nimport sys as s\n", False) == {"os", "s"}
