@@ -26,8 +26,10 @@ _PRICE_NAMES = tuple(name.lower() for name in OHLCV_HEADER[1:6])
 
 # characters per piece of text fed to the columnar parser, and bytes per read of a
 # file; each block of whole lines it makes ends at a piece's last newline, which
-# bounds the cells alive at once
-_CHUNK_CHARS = 1 << 20
+# bounds the cells alive at once. 64 KiB timed fastest from 16 KiB to 1 MiB because
+# the dozen passes over a block stay in a core's L2 cache and its buffers stay under
+# malloc's 128 KiB mmap threshold, so they reuse freed heap instead of faulting in pages.
+_CHUNK_CHARS = 1 << 16
 
 
 class PriceSeries(Record):

@@ -481,6 +481,29 @@ class TestColumnarPath:
         assert len(series) == 1876
         assert calls == []
 
+    def test_shipped_block_size_boundaries(self):
+        # about 330 KB at the shipped block size: null rows end the first block
+        # and start the second, and a priced line straddles the second piece's end
+        chunk = market_data._CHUNK_CHARS
+        text = ohlcv_csv_from_returns(sample_laplace(3000, LaplaceParams(0.0, 0.006), 33))
+        pieces = (text[i : i + chunk] for i in range(0, len(text), chunk))
+        blocks = list(market_data._line_blocks(pieces))
+        assert len(blocks) >= 4
+        # lines[first] starts the second block and lines[second] the third
+        first, second = accumulate(block.count("\n") for block in blocks[:2])
+        lines = text.split("\n")
+        # lines[k] spans text[starts[k] : starts[k + 1]], its newline included
+        starts = list(accumulate((len(line) + 1 for line in lines), initial=0))
+        assert starts[first] < chunk < starts[first + 1]
+        assert starts[second] < 2 * chunk < starts[second + 1]
+        for k in (first - 1, first):  # padded to the cell's width, so no line moves
+            lines[k] = _with(lines[k], 5, "null".rjust(len(lines[k].split(",")[5])))
+        text = "\n".join(lines)
+        _assert_paths_agree(text, columnar=True)
+        assert parse_ohlcv_csv(text, "X")[1] == [
+            f"line {k + 1}: null field, row skipped" for k in (first - 1, first)
+        ]
+
     @pytest.mark.parametrize("bad_cells", [",null,1,1,1,1,1", ",1,1,1,1,1,-1"])
     def test_row_first_in_later_chunk(self, monkeypatch, bad_cells):
         chunk_chars = 300
