@@ -9,7 +9,7 @@ read from the option table ``_COMMANDS`` without argparse; argparse, loaded
 only then, parses any other (help, abbreviations, ``--flag=value``, a path
 or choice led by ``-``) and reports every usage error. So of the stdlib
 beyond the package's own imports, a successful run loads only ``_json``,
-``_csv`` and ``_datetime``, each where it is used.
+``_csv``, ``_datetime`` and ``_statistics``, each where it is used.
 """
 
 from __future__ import annotations

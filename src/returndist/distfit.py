@@ -5,9 +5,9 @@ sampling. Everything here is self-contained: uniforms come from a
 xoshiro256++ generator seeded through splitmix64 and stepped in lanes
 started by jump-ahead (Blackman & Vigna, ACM TOMS 2021; Haramoto et
 al., INFORMS J. Computing 2008), normals from the Marsaglia polar
-method, Laplace variates from the inverse transform, and the
-standard-normal quantile from Acklam's rational approximation sharpened
-by one Halley step against the erfc-based CDF.
+method, and Laplace variates from the inverse transform. The
+standard-normal quantile is not here: the Shapiro-Wilk weights take
+Wichura's AS 241 from CPython's C ``_statistics`` (see ``normality``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import DegenerateFitError, DegenerateSampleError, DomainError, Insu
 from .moments import _centred
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 class _LocationScale(Record):
@@ -128,61 +127,6 @@ def _normal_cdfs(xs: Iterable[float], p: NormalParams) -> list[float]:
     """The Normal CDF at each x."""
     mean, sigma = p.mean, p.sigma
     return [0.5 * math.erfc(-((x - mean) / sigma) / _SQRT2) for x in xs]
-
-
-# Acklam's rational approximation to the standard-normal inverse CDF;
-# raw absolute error ~1.15e-9, pushed to machine precision by the
-# Halley step in _lower_quantiles.
-_ACKLAM_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01,
-    2.445134137142996e+00, 3.754408661907416e+00,
-)
-_ACKLAM_LOW = 0.02425
-
-
-def _lower_quantiles(qs: Iterable[float]) -> list[float]:
-    """The standard-normal quantile at each q in (0, 0.5], accurate to ~1e-14
-    down to 1e-300. Here x <= 0, so erfc(-x/sqrt(2)) carries full relative
-    precision and the Halley residual is not cancellation-limited; an upper
-    quantile is minus the lower one at 1 - q, which is exact for q >= 0.5."""
-    # the constants and functions as locals: this loop makes every SW weight
-    a0, a1, a2, a3, a4, a5 = _ACKLAM_A
-    b0, b1, b2, b3, b4 = _ACKLAM_B
-    c0, c1, c2, c3, c4, c5 = _ACKLAM_C
-    d0, d1, d2, d3 = _ACKLAM_D
-    low, sqrt2, sqrt2pi = _ACKLAM_LOW, _SQRT2, _SQRT2PI
-    sqrt, log, exp, erfc = math.sqrt, math.log, math.exp, math.erfc
-    out = []
-    for q in qs:
-        if q < low:
-            r = sqrt(-2.0 * log(q))
-            x = (((((c0 * r + c1) * r + c2) * r + c3) * r + c4) * r + c5) / (
-                (((d0 * r + d1) * r + d2) * r + d3) * r + 1.0
-            )
-        else:
-            u = q - 0.5
-            r = u * u
-            x = ((((((a0 * r + a1) * r + a2) * r + a3) * r + a4) * r + a5) * u) / (
-                ((((b0 * r + b1) * r + b2) * r + b3) * r + b4) * r + 1.0
-            )
-        density = exp(-0.5 * x * x) / sqrt2pi
-        err = 0.5 * erfc(-x / sqrt2) - q
-        u = err / density
-        x -= u / (1.0 + 0.5 * x * u)
-        out.append(x)
-    return out
 
 
 _MASK64 = (1 << 64) - 1

@@ -1,14 +1,16 @@
 """Shapiro-Wilk test for normality.
 
 W = (sum a_i x_(i))^2 / sum (x_i - xbar)^2, with the weight vector a
-built from Blom plotting positions normalized to unit length and the
-two extreme weights replaced by Royston's polynomial corrections
-(Royston 1992, Statistics and Computing 2; Remark AS R94, 1995). The
-p-value comes from Royston's normalizing transformation of (1 - W):
-exact for n = 3, a log-transform with polynomial mean/sd in n for
-4 <= n <= 11, and in ln(n) for n >= 12, referred to the upper normal
-tail. Royston validated the approximation up to n = 5000; beyond that
-the result is still computed but flagged.
+built from the standard-normal quantiles of Blom plotting positions
+normalized to unit length and the two extreme weights replaced by
+Royston's polynomial corrections (Royston 1992, Statistics and
+Computing 2; Remark AS R94, 1995). The quantile is Wichura's AS 241
+(Applied Statistics 37, 1988), as in R's swilk.c, taken in C from
+CPython's ``_statistics``. The p-value comes from Royston's normalizing
+transformation of (1 - W): exact for n = 3, a log-transform with
+polynomial mean/sd in n for 4 <= n <= 11, and in ln(n) for n >= 12,
+referred to the upper normal tail. Royston validated the approximation
+up to n = 5000; beyond that the result is still computed but flagged.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import chain
 from operator import mul, neg
 
 from ._record import Record
-from .distfit import _SQRT2, _lower_quantiles
+from .distfit import _SQRT2
 from .errors import DegenerateSampleError, InsufficientDataError
 from .moments import _centred
 
@@ -56,9 +58,12 @@ def _coefficients(n: int) -> tuple[float, ...]:
     if n == 3:
         return (math.sqrt(0.5),)
 
+    # imported here: only a run that builds weights loads the C quantile
+    from _statistics import _normal_dist_inv_cdf as quantile
+
     half = n // 2
     # Blom scores for the lower half; all negative.
-    scores = _lower_quantiles((i - 0.375) / (n + 0.25) for i in range(1, half + 1))
+    scores = [quantile((i - 0.375) / (n + 0.25), 0.0, 1.0) for i in range(1, half + 1)]
     norm_sq = 2.0 * math.fsum(v * v for v in scores)
     norm = math.sqrt(norm_sq)
     u = 1.0 / math.sqrt(n)

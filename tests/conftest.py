@@ -6,6 +6,7 @@ import contextlib
 import re
 from collections.abc import Iterator
 from datetime import date, timedelta
+from statistics import NormalDist
 from unittest import mock
 
 from returndist import market_data
@@ -15,7 +16,6 @@ from returndist.distfit import (
     Xoshiro256PlusPlus,
     _laplace_cdfs,
     _laplace_quantiles,
-    _lower_quantiles,
     _normal_cdfs,
 )
 from returndist.market_data import OHLCV_HEADER, PriceSeries, parse_ohlcv_csv
@@ -93,13 +93,9 @@ def normal_cdf(x: float, p: NormalParams) -> float:
     return _normal_cdfs((x,), p)[0]
 
 
-def normal_quantile(q: float) -> float:
-    """The standard-normal quantile at q in (0, 1), from the lower-half kernel.
-    The upper half is reflected: 1 - q is exact for q >= 0.5 (Sterbenz), and
-    antisymmetry then holds exactly."""
-    if q > 0.5:
-        return -_lower_quantiles((1.0 - q,))[0]
-    return _lower_quantiles((q,))[0]
+# the standard-normal quantile at q in (0, 1): Wichura's AS 241, the kernel of
+# the Shapiro-Wilk weights (statistics calls the same C function normality does)
+normal_quantile = NormalDist().inv_cdf
 
 
 def word(rng: Xoshiro256PlusPlus) -> int:

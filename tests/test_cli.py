@@ -859,10 +859,12 @@ def test_out_of_memory_names_the_request(command, request_, tmp_path):
 
 
 # the stdlib modules no successful run loads: argparse (with gettext and locale)
-# parses only help and usage errors, and json, csv and datetime load only as
-# their C layers _json, _csv and _datetime, each on the paths that use it
-_PYTHON_LAYERS = {"argparse", "gettext", "locale", "json", "csv", "datetime"}
-_C_LAYERS = {"_json", "_csv", "_datetime"}
+# parses only help and usage errors, and json, csv, datetime and statistics (with
+# its fractions and decimal) load only as their C layers _json, _csv, _datetime
+# and _statistics, each on the paths that use it
+_PYTHON_LAYERS = {"argparse", "gettext", "locale", "json", "csv", "datetime",
+                  "statistics", "fractions", "decimal"}
+_C_LAYERS = {"_json", "_csv", "_datetime", "_statistics"}
 
 
 def test_cli_imports_only_stdlib():
@@ -885,13 +887,13 @@ def test_cli_imports_only_stdlib():
         ("ecdf --input r.txt --returns-only --output out", ""),
         ("ecdf --input r.txt --returns-only --format svg --output out", ""),
         ("hist --input r.txt --returns-only --output out", "json"),
-        ("analyze --input r.txt --returns-only", "json"),
-        ("analyze --input r.txt --returns-only --format markdown", ""),
-        ("analyze --input p.csv --format markdown", "csv datetime"),
+        ("analyze --input r.txt --returns-only", "json statistics"),
+        ("analyze --input r.txt --returns-only --format markdown", "statistics"),
+        ("analyze --input p.csv --format markdown", "csv datetime statistics"),
         ("ecdf --input p.csv --output out", "csv datetime"),
         ("ecdf --input p.csv --format svg --output out", "csv datetime"),
         ("hist --input p.csv --output out", "json csv datetime"),
-        ("analyze --input p.csv", "json csv datetime"),
+        ("analyze --input p.csv", "json csv datetime statistics"),
     ],
 )
 def test_subcommand_loads_only_the_modules_it_uses(command, c_layers, tmp_path, monkeypatch):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import math
-from statistics import NormalDist
+import sys
+from unittest import mock
 
 import pytest
 
@@ -13,16 +15,11 @@ from returndist.distfit import (
     LaplaceParams,
     NormalParams,
     Xoshiro256PlusPlus,
-    _ACKLAM_A,
-    _ACKLAM_B,
-    _ACKLAM_C,
-    _ACKLAM_D,
     _CHARPOLY,
     _MASK64,
     _jump_poly,
     _jumped,
     _laplace_quantiles,
-    _lower_quantiles,
     _slot_mask,
     fit_laplace,
     fit_normal,
@@ -230,76 +227,38 @@ class TestNormalFunctions:
             residual = abs(normal_cdf(x, STD_NORMAL) - q)
             assert residual <= 1e-9 * density, q
 
-    def test_quantile_domain(self):
-        # the kernel gives no number outside (0, 1): log of a level <= 0 raises
-        for q in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError, match="^math domain error$"):
-                normal_quantile(q)
 
-
-def _reference_lower_quantile(q: float) -> float:
-    """The lower-half quantile as it was written point by point before the
-    list kernel: Acklam's approximation, then one Halley step."""
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if q < 0.02425:
-        r = math.sqrt(-2.0 * math.log(q))
-        x = (
-            ((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]
-        ) / ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0)
-    else:
-        u = q - 0.5
-        r = u * u
-        x = (
-            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u
-        ) / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    density = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if density > 0.0:
-        err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
-        u = err / density
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+def _python_inv_cdf():
+    """statistics.py's own pure-Python AS 241, loaded with the C module hidden."""
+    spec = importlib.util.find_spec("statistics")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {"_statistics": None}):
+        spec.loader.exec_module(module)
+    return module._normal_dist_inv_cdf
 
 
 class TestQuantileKernel:
-    # both Acklam branches, each side of the 0.02425 switch, the deep tail
-    # and the centre
-    LEVELS = [
-        1e-300, 1e-100, 1e-10, 0.001, 0.02,
-        math.nextafter(0.02425, 0.0), 0.02425, math.nextafter(0.02425, 1.0),
-        0.1, 0.3, 0.4999, math.nextafter(0.5, 0.0), 0.5,
-    ] + [k / 2003.0 for k in range(1, 1002)]
-
-    def test_list_kernel_equals_per_point(self):
-        per_point = [normal_quantile(q) for q in self.LEVELS]
-        assert _lower_quantiles(self.LEVELS) == per_point
-        assert per_point == [_reference_lower_quantile(q) for q in self.LEVELS]
+    """The C quantile the Shapiro-Wilk weights import is the AS 241 that
+    statistics.py spells out in Python (bit for bit on x86-64, 3.10-3.13)."""
 
     @staticmethod
-    def _assert_near_oracle(xs, qs):
-        # the stdlib quantile (Wichura's AS241) is an independent oracle; it
-        # differs from Acklam + Halley in the last bits on most levels
-        inv_cdf = NormalDist().inv_cdf
-        for x, q in zip(xs, qs):
-            expected = inv_cdf(q)
+    def _assert_near_oracle(qs):
+        from _statistics import _normal_dist_inv_cdf as kernel
+
+        oracle = _python_inv_cdf()
+        assert oracle is not kernel
+        for q in qs:
+            x, expected = kernel(q, 0.0, 1.0), oracle(q, 0.0, 1.0)
             assert abs(x - expected) <= 2e-15 * max(1.0, abs(expected)), (q, x, expected)
 
     def test_blom_scores_near_stdlib_oracle(self):
         n = 199_979
-        levels = [(i - 0.375) / (n + 0.25) for i in range(1, n // 2 + 1)]
-        self._assert_near_oracle(_lower_quantiles(levels), levels)
-
-    def test_subnormal_levels_finite_and_increasing(self):
-        # the Halley step divides by the density, which stays > 0 down to the
-        # smallest subnormal level (x = -38.47); the stdlib oracle differs from
-        # Acklam + Halley by about 1.8e-9 there, so it is not compared
-        xs = _lower_quantiles([5e-324, 1e-320])
-        assert all(map(math.isfinite, xs)) and xs[0] < xs[1]
+        self._assert_near_oracle([(i - 0.375) / (n + 0.25) for i in range(1, n // 2 + 1)])
 
     def test_normal_quantile_near_stdlib_oracle(self):
-        lower = [10.0 ** (e / 10.0) for e in range(-3000, -3)] + [0.5]
+        lower = [5e-324, 1e-320] + [10.0 ** (e / 10.0) for e in range(-3000, -3)] + [0.5]
         upper = [1.0 - q for q in lower if 1.0 - q < 1.0]
-        levels = lower + upper
-        self._assert_near_oracle([normal_quantile(q) for q in levels], levels)
+        self._assert_near_oracle(lower + upper)
 
 
 class TestRng:

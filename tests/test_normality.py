@@ -125,7 +125,7 @@ class TestCoefficients:
             sw_coefficients(2)
 
     def test_equal_to_reference_construction(self):
-        for n in [*range(3, 601), 1879, 5000, 5001, 20000]:
+        for n in [*range(3, 601), 1879, 5000, 5001, 20000, 199_979]:
             assert sw_coefficients(n) == _reference_coefficients(n), n
 
 
