@@ -204,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
             return exc.code and EXIT_USAGE
     try:
         text = _COMMANDS[args.command][1](args)
-        if args.command == "analyze":  # the one subcommand without --output prints its text
+        if "--output" not in _COMMANDS[args.command][2]:  # no --output: the text goes to stdout
             sys.stdout.write(text)
         else:  # opened only now, so a run that raises writes no file
             with open(args.output, "w", encoding="utf-8") as fh:

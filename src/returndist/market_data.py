@@ -82,9 +82,11 @@ def _parse_rows(
     """The csv-module parser: any input, every check and message, row by row.
     Reads the blocks from line ``lineno`` to the end, appending each row to
     ``dates`` and ``kept`` (a list per column it names) and each null row's
-    line to ``null_lines``. Those hold the rows before that line; a date
-    repeated among them is the first error raised. At line 1 it is handed
-    the header line alone, and the header is checked here only."""
+    line to ``null_lines``, the lists ``_parse_block`` appends to. Those
+    hold the rows before that line, every one from a block the column pass
+    took whole (a block it declines appends nothing); a date repeated among
+    them is the first error raised. At line 1 it is handed the header line
+    alone, and the header is checked here only."""
     # imported here and in _parse_block: only an OHLCV read pays for _csv and _datetime;
     # their Python layers csv.py (which loads re) and datetime.py add nothing used here
     import _csv
@@ -169,16 +171,19 @@ _PLAIN_SIGNS = b"--,.,.,.,.,.,"
 
 
 def _parse_block(
-    block: str, lineno: int, keep: Sequence[str]
-) -> tuple[list[date], dict[str, list], list[int], int] | None:
-    """One block's dates, columns named in ``keep`` and null-row lines, and the
-    line number after it; or None where ``_parse_columns`` hands the block to
-    the row parser. The block starts at line ``lineno``, after the header
-    line, so every line of it is a data row. In a plain block (``_PLAIN_CHARS``)
-    a column not in ``keep`` is checked as text: a price column passes when
-    no cell is only zeros and dots, the volume when no cell is empty. Any
-    other column, and every column of a block that is not plain, is
-    converted and checked.
+    block: str, lineno: int, dates: list[date], kept: dict[str, list], null_lines: list[int]
+) -> int | None:
+    """The column pass over one block: appends its rows to the lists that
+    ``_parse_rows`` fills, ``dates``, ``kept`` (a list per column it names)
+    and ``null_lines``, and returns the line number after the block; or
+    returns None, having appended nothing, where ``_parse_columns`` hands the
+    block to the row parser. It appends only once every check of the block
+    has passed. The block starts at line ``lineno``, after the header line,
+    so every line of it is a data row. In a plain block (``_PLAIN_CHARS``) a
+    column not in ``kept`` is checked as text: a price column passes when no
+    cell is only zeros and dots, the volume when no cell is empty. Any other
+    column, and every column of a block that is not plain, is converted and
+    checked. A date repeated across rows is not checked here.
     Its lines and cells die on return, before the next block is read."""
     # imported here and in _parse_rows: only an OHLCV read pays for _csv and _datetime
     import _csv
@@ -188,12 +193,11 @@ def _parse_block(
         return None
     lines = block.removesuffix("\n").split("\n")
     longest = max(map(len, lines))
-    if longest > _csv.field_size_limit():
+    # "" in lines: a blank line, which the row parser skips
+    if longest > _csv.field_size_limit() or "" in lines:
         return None
+    nulls = []
     i = end = 0  # the index of the line after the last hit's, and where it starts
-    if "" in lines:  # a blank line, which the row parser skips
-        return None
-    null_lines = []
     # a line with a null cell holds an "n", which find locates by memchr, far
     # faster than "null"; the newlines between lines[i] and it give its line
     while (hit := block.find("n", end)) >= 0:
@@ -203,45 +207,46 @@ def _parse_block(
         if any(cell.strip() == "null" for cell in row[1:]):
             if len(row) != len(OHLCV_HEADER):
                 return None
-            null_lines.append(lineno + i)
+            nulls.append(lineno + i)
             lines[i] = ""
         i += 1
     text = "\n".join(filter(None, lines))
     if not text:  # only null rows
-        return [], {}, null_lines, lineno + len(lines)
+        null_lines += nulls
+        return lineno + len(lines)
     # the newlines stay in the signature: without them a 7-comma line ending
     # in a date and a 5-comma line after it would realign to two plain lines
-    priced = len(lines) - len(null_lines)
+    priced = len(lines) - len(nulls)
     signs = text.isascii() and text.encode().translate(None, b"0123456789")
     plain = longest <= _PLAIN_CHARS and signs == b"\n".join(repeat(_PLAIN_SIGNS, priced))
     if not (plain or set(map(str.count, filter(None, lines), repeat(","))) <= {6}):
         return None
     cells = text.replace("\n", ",").split(",")
-    kept = {}
+    converted = {}  # each converted column, appended once every check of the block has passed
     # the values are checked as they are converted, so a bad cell stops the pass at its block
     try:
-        dates = list(map(date.fromisoformat, cells[0::7]))
+        days = list(map(date.fromisoformat, cells[0::7]))
         for k, name in enumerate(_COLUMNS[:5], start=1):
             column = cells[k::7]
             # a cell led by 1-9, or with one anywhere, is a positive decimal
-            if plain and name not in keep and (
+            if plain and name not in kept and (
                 min(column) >= "1" or "" not in map(str.strip, column, repeat("0."))
             ):
                 continue
-            values = list(map(float, column))
+            values = converted[name] = list(map(float, column))
             if not all(map(math.isfinite, values)) or min(values) <= 0.0:
                 return None
-            if name in keep:
-                kept[name] = values
-        if not (plain and "volume" not in keep and "" not in cells[6::7]):
-            values = list(map(int, cells[6::7]))
+        if not (plain and "volume" not in kept and "" not in cells[6::7]):
+            values = converted["volume"] = list(map(int, cells[6::7]))
             if min(values) < 0:
                 return None
-            if "volume" in keep:
-                kept["volume"] = values
     except ValueError:
         return None
-    return dates, kept, null_lines, lineno + len(lines)
+    dates += days
+    for name, column in kept.items():
+        column += converted[name]
+    null_lines += nulls
+    return lineno + len(lines)
 
 
 def _duplicate_error(dates: list[date], null_lines: list[int]) -> DataFormatError:
@@ -266,20 +271,23 @@ def _parse_columns(
     """The dates, the columns named in ``keep`` and the warnings of an OHLCV
     text given as ``_line_blocks``, in ascending date order.
 
-    The first line, the header, is split off the first block and read by
+    Both parsers append to one set of lists, the dates, a list per kept
+    column and the null rows' lines, which this function owns. The first
+    line, the header, is split off the first block and read by
     ``_parse_rows`` alone, so quoting in it changes nothing after it. The
-    rest of the text goes to the column pass a block at a time: each block
-    is checked and converted whole, then dropped, so only one block's lines
-    and cells are alive at a time; of the converted cells only the dates
-    and the kept columns stay. Every cell is checked, kept or not: a dropped
-    column as text in a plain block (``_PLAIN_CHARS``), every column
-    converted in any other.
+    rest of the text goes to the column pass, ``_parse_block``, a block at
+    a time: each block is checked and converted whole, appended, then
+    dropped, so only one block's lines and cells are alive at a time; of
+    the converted cells only the dates and the kept columns stay. Every
+    cell is checked, kept or not: a dropped column as text in a plain block
+    (``_PLAIN_CHARS``), every column converted in any other.
     From the first block ``_parse_block`` declines (quotes, CR or NUL, a
     blank line, a line without seven fields or over the csv field limit, a
-    bad cell), ``_parse_rows`` reads row by row to the end, appending to the
-    same lists. The result and every error equal those of ``_parse_rows``
-    over the whole text, but for a header whose quoted field holds a
-    newline: the header is one line, so that field ends at the newline.
+    bad cell), having appended nothing of it, ``_parse_rows`` reads row by
+    row to the end, appending to the same lists. The result and every
+    error equal those of ``_parse_rows`` over the whole text, but for a
+    header whose quoted field holds a newline: the header is one line, so
+    that field ends at the newline.
     """
     dates: list[date] = []
     kept: dict[str, list] = {name: [] for name in keep}
@@ -290,15 +298,11 @@ def _parse_columns(
     _parse_rows((block[:cut],), 1, dates, kept, null_lines)  # the header line only
     blocks, lineno = filter(None, chain((block[cut:],), blocks)), 2
     for block in blocks:
-        parsed = _parse_block(block, lineno, keep)
-        if parsed is None:  # the row parser reads this block and every block after it
+        if (after := _parse_block(block, lineno, dates, kept, null_lines)) is None:
+            # the row parser reads this block and every block after it
             _parse_rows(chain((block,), blocks), lineno, dates, kept, null_lines)
             break
-        block_dates, block_kept, block_nulls, lineno = parsed
-        dates += block_dates
-        for name, values in block_kept.items():
-            kept[name] += values
-        null_lines += block_nulls
+        lineno = after
     if not dates and not null_lines:
         raise EmptyInputError("CSV contains no data rows")
     columns = list(kept.values())

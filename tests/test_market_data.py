@@ -538,16 +538,23 @@ class TestColumnarPath:
             parse_ohlcv_csv(text, "X")
 
     @pytest.mark.parametrize(
-        "edit", ["bad-last-volume", "late-quoted-cell", "quoted-header-late-quoted-cell"]
+        "edit",
+        ["bad-last-volume", "late-quoted-cell", "quoted-header-late-quoted-cell",
+         "late-date-leading-space"],
     )
     def test_row_parser_starts_at_declined_block(self, monkeypatch, edit):
         # the blocks before it are parsed once, by the column pass only; a
-        # quoted header is read with the header line and declines no block
+        # quoted header is read with the header line and declines no block.
+        # A leading space in a date is declined at the dates' conversion and
+        # stripped by the row parser, so the declined block appended nothing
         monkeypatch.setattr(market_data, "_CHUNK_CHARS", 300)
-        lines = ohlcv_csv_from_returns([0.001] * 60).splitlines()
+        original = ohlcv_csv_from_returns([0.001] * 60)
+        lines = original.splitlines()
         k = len(lines) - 1 if edit == "bad-last-volume" else len(lines) - 5
         if edit == "bad-last-volume":
             lines[k] = _with(lines[k], 6, "-1")
+        elif edit == "late-date-leading-space":
+            lines[k] = " " + lines[k]
         else:
             lines[k] = _with(lines[k], 5, '"' + lines[k].split(",")[5] + '"')
         if edit == "quoted-header-late-quoted-cell":
@@ -564,7 +571,7 @@ class TestColumnarPath:
         if edit == "bad-last-volume":
             assert outcome == (DataFormatError, f"line {k + 1}: negative volume -1")
         else:
-            assert outcome == parse_ohlcv_csv(text.replace('"', ""), "X")
+            assert outcome == parse_ohlcv_csv(original, "X")
 
 
 class TestRoundTrip:
